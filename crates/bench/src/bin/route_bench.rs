@@ -14,6 +14,13 @@
 //!   the gap to 1 thread is the *parallel* win (bounded by the host's
 //!   cores — on a single-core runner it is ~1.0x by construction).
 //!
+//! A fourth row routes what the flow actually runs: seeded dataset-style
+//! `NonUniform` guidance samples (a log-uniform `[c_low, c_high]` triple per
+//! guided access point, drawn exactly as dataset generation draws them)
+//! with the default configuration on one thread. It reports the mean
+//! guided route time and the wall time per A* expansion, read from the
+//! `route.astar_expansions` counter.
+//!
 //! Every run also verifies the routing contracts and exits non-zero on
 //! violation, which the CI `route-bench-smoke` step relies on:
 //!
@@ -30,11 +37,16 @@
 
 use std::time::Instant;
 
+use std::sync::Arc;
+
 use af_bench::{kv_list, obs_arg, Scale};
 use af_netlist::benchmarks;
 use af_place::{place, PlacementVariant};
 use af_route::{OpenListKind, RoutedLayout, Router, RouterConfig, RoutingGuidance};
 use af_tech::Technology;
+use analogfold::{guidance_field, DatasetConfig, HeteroGraph};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -50,6 +62,14 @@ struct DesignRow {
     optimized: Vec<ThreadRow>,
     /// baseline_s / optimized@1-thread: the algorithmic speedup.
     speedup_vs_baseline: f64,
+    /// Dataset-style guidance samples routed (optimized config, 1 thread).
+    guided_samples: usize,
+    /// Mean wall time of one guided route.
+    guided_route_s: f64,
+    /// A* expansions summed over the guided samples.
+    guided_expansions: u64,
+    /// Guided wall time per A* expansion.
+    guided_ns_per_expansion: f64,
 }
 
 #[derive(Serialize)]
@@ -107,6 +127,61 @@ fn timed_route(cfg: RouterConfig, design: &str) -> (RoutedLayout, f64) {
     (layout, t0.elapsed().as_secs_f64())
 }
 
+/// Dataset-style guidance sample `index`: one log-uniform
+/// `[c_low, c_high]` triple per guided access point, drawn with the
+/// dataset generator's seeding so the bench routes what the flow routes.
+fn dataset_guidance(graph: &HeteroGraph, index: u64) -> RoutingGuidance {
+    let cfg = DatasetConfig::default();
+    let (lo, hi) = (cfg.c_low.ln(), cfg.c_high.ln());
+    let mut rng = ChaCha8Rng::seed_from_u64(afrt::split_seed(cfg.seed, index));
+    let guidance: Vec<f64> = (0..graph.guided_ap_indices().len() * 3)
+        .map(|_| rng.gen_range(lo..=hi).exp())
+        .collect();
+    RoutingGuidance::NonUniform(guidance_field(graph, &guidance))
+}
+
+/// Total `route.astar_expansions` counted while `f` runs, read from the
+/// live obs registry; a throwaway memory sink records when no `obs=` sink
+/// is installed.
+fn count_expansions<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let read = || {
+        af_obs::with_registry(|r| {
+            r.counter_snapshot()
+                .into_iter()
+                .find(|(name, _)| name == "route.astar_expansions")
+                .map_or(0, |(_, v)| v)
+        })
+        .unwrap_or(0)
+    };
+    let _guard = (!af_obs::enabled()).then(|| af_obs::install(Arc::new(af_obs::MemorySink::new())));
+    let before = read();
+    let out = f();
+    (out, read() - before)
+}
+
+/// Routes `samples` dataset-style guidance samples on one thread; returns
+/// the mean route time and the total A* expansions.
+fn guided_routes(design: &str, samples: usize) -> (f64, u64) {
+    let circuit = benchmarks::by_name(design).expect("known design");
+    let placement = place(&circuit, PlacementVariant::A);
+    let tech = Technology::nm40();
+    let graph = HeteroGraph::build(&circuit, &placement, &tech, 3);
+    let fields: Vec<RoutingGuidance> = (0..samples as u64)
+        .map(|i| dataset_guidance(&graph, i))
+        .collect();
+    let router = Router::new(optimized_config(1)).expect("valid config");
+    let (total_s, expansions) = count_expansions(|| {
+        let t0 = Instant::now();
+        for field in &fields {
+            router
+                .route(&circuit, &placement, &tech, field)
+                .expect("bundled designs route under guidance");
+        }
+        t0.elapsed().as_secs_f64()
+    });
+    (total_s / samples.max(1) as f64, expansions)
+}
+
 /// Layout equality that ignores the wall-clock field.
 fn same_layout(a: &RoutedLayout, b: &RoutedLayout) -> bool {
     a.nets == b.nets && a.conflicts == b.conflicts
@@ -133,6 +208,7 @@ fn main() {
             _ => vec!["OTA1", "OTA2", "OTA3", "OTA4"],
         }
     };
+    let guided_samples = if smoke { 2 } else { 4 };
     let thread_counts: Vec<usize> = kv_list(&args, "threads")
         .map(|l| l.iter().filter_map(|s| s.parse().ok()).collect())
         .unwrap_or_else(|| vec![1, 4, 8]);
@@ -205,6 +281,9 @@ fn main() {
             ));
         }
 
+        eprintln!("{design}: {guided_samples} dataset-style guided route(s) on 1 thread ...");
+        let (guided_route_s, guided_expansions) = guided_routes(design, guided_samples);
+
         let speedup_vs_baseline = baseline_s / t1_s.max(1e-12);
         rows.push(DesignRow {
             design: design.to_string(),
@@ -215,6 +294,11 @@ fn main() {
             baseline_conflicts: base_layout.conflicts,
             optimized,
             speedup_vs_baseline,
+            guided_samples,
+            guided_route_s,
+            guided_expansions,
+            guided_ns_per_expansion: guided_route_s * guided_samples as f64 * 1e9
+                / guided_expansions.max(1) as f64,
         });
     }
 
@@ -235,6 +319,10 @@ fn main() {
             r.baseline_rounds,
             r.optimized.first().map_or(f64::NAN, |o| o.route_s),
             r.speedup_vs_baseline
+        );
+        println!(
+            "  guided@1t: {:.3}s per route  {} expansions over {} sample(s)  {:.0} ns/expansion",
+            r.guided_route_s, r.guided_expansions, r.guided_samples, r.guided_ns_per_expansion
         );
         for o in &r.optimized {
             println!(

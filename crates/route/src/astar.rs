@@ -11,12 +11,26 @@
 //! exact for *any* pop order, which is what makes the two engines (and the
 //! bidirectional variant below) agree on path cost.
 //!
-//! For plain two-pin connections with a weak heuristic the search switches to
-//! bidirectional Dijkstra, meeting in the middle; for guided nets the
-//! heuristic is scaled by the net's *minimum* guidance multiplier
-//! ([`crate::guidance::RoutingGuidance::min_multiplier`]) instead of the
-//! global floor, which sharpens the lower bound and prunes hopeless frontier
-//! nodes much earlier.
+//! Guided nets use the guidance-aware heuristic: every multiplier is divided
+//! by the net's smallest one ([`crate::guidance::RoutingGuidance::scale_floor`]),
+//! so normalized multipliers are ≥ 1.0 and unit scale stays admissible —
+//! much sharper than the global `min_guidance` floor, so hopeless frontier
+//! nodes are pruned much earlier. Bidirectional Dijkstra, meeting in the
+//! middle, only runs for plain two-pin connections under the legacy weak
+//! heuristic (`guidance_aware_h = false`); the default configuration never
+//! takes it.
+//!
+//! # Memory layout
+//!
+//! The inner loop touches a few dense arrays per neighbor step and never
+//! hashes: the net's guidance is resolved once per net route
+//! ([`NetGuidance`]), the node's occupancy and history come from one packed
+//! 8-byte grid cell (through the task's dense overlay in a parallel round),
+//! the neighbor's grid point is passed down instead of re-derived from its
+//! flat index, and each node's `dist`/`came`/`stamp` live in one 16-byte
+//! [`Label`]. None of this changes a float expression, the pop order or a
+//! tie-break, so expansion counts and layouts are the same as with plain
+//! per-step lookups; `tests/golden_routing.rs` pins both.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -24,7 +38,8 @@ use std::collections::BinaryHeap;
 use af_geom::{Axis, Dir3, GridPoint};
 use af_netlist::NetId;
 
-use crate::guidance::RoutingGuidance;
+use crate::grid::Cell;
+use crate::guidance::NetGuidance;
 use crate::router::{OpenListKind, RouterConfig};
 use crate::view::GridView;
 
@@ -170,6 +185,26 @@ impl Open<'_> {
     }
 }
 
+/// One node's search label, packed so a relaxation touches one 16-byte
+/// record: best-known cost, predecessor (`u32::MAX` for a root), and the
+/// search generation that wrote it.
+#[derive(Clone, Copy)]
+struct Label {
+    dist: f64,
+    came: u32,
+    stamp: u32,
+}
+
+impl Default for Label {
+    fn default() -> Self {
+        Self {
+            dist: 0.0,
+            came: u32::MAX,
+            stamp: 0,
+        }
+    }
+}
+
 /// Reusable search scratch space (stamped so clearing is O(1) per search).
 ///
 /// Holds forward *and* backward label arrays plus both open-list engines, so
@@ -178,14 +213,10 @@ impl Open<'_> {
 /// (thread-local), never sharing search state across tasks.
 #[derive(Default)]
 pub(crate) struct SearchBuffers {
-    dist: Vec<f64>,
-    came: Vec<u32>,
-    stamp: Vec<u32>,
+    fwd: Vec<Label>,
+    /// Backward-search labels (bidirectional engine).
+    bwd: Vec<Label>,
     target_stamp: Vec<u32>,
-    // Backward-search labels (bidirectional engine).
-    bdist: Vec<f64>,
-    bcame: Vec<u32>,
-    bstamp: Vec<u32>,
     cur: u32,
     fwd_bucket: BucketQueue,
     bwd_bucket: BucketQueue,
@@ -194,24 +225,28 @@ pub(crate) struct SearchBuffers {
 }
 
 impl SearchBuffers {
-    pub(crate) fn ensure(&mut self, len: usize) {
-        if self.dist.len() < len {
-            self.dist.resize(len, 0.0);
-            self.came.resize(len, u32::MAX);
-            self.stamp.resize(len, 0);
+    /// Sizes the forward labels and target stamps for a `len`-node grid.
+    /// The backward labels are sized on first use by the bidirectional
+    /// engine, which the default configuration never runs.
+    fn ensure(&mut self, len: usize) {
+        if self.fwd.len() < len {
+            self.fwd.resize(len, Label::default());
             self.target_stamp.resize(len, 0);
-            self.bdist.resize(len, 0.0);
-            self.bcame.resize(len, u32::MAX);
-            self.bstamp.resize(len, 0);
+        }
+    }
+
+    fn ensure_bwd(&mut self, len: usize) {
+        if self.bwd.len() < len {
+            self.bwd.resize(len, Label::default());
         }
     }
 
     fn next_gen(&mut self) {
         self.cur = self.cur.wrapping_add(1);
         if self.cur == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.fwd.iter_mut().for_each(|l| l.stamp = 0);
+            self.bwd.iter_mut().for_each(|l| l.stamp = 0);
             self.target_stamp.iter_mut().for_each(|s| *s = 0);
-            self.bstamp.iter_mut().for_each(|s| *s = 0);
             self.cur = 1;
         }
     }
@@ -228,10 +263,13 @@ pub(crate) struct FoundPath {
 /// Per-step parameters captured once per net route.
 pub(crate) struct StepCost<'a, G: GridView> {
     pub grid: &'a G,
-    pub guidance: &'a RoutingGuidance,
+    /// The net's guidance, resolved once so a step never looks the net up.
+    pub guidance: NetGuidance<'a>,
     /// Reciprocal of [`RoutingGuidance::scale_floor`] for `net`: multiplies
     /// every guidance lookup so the net's cheapest multiplier lands on 1.0
     /// (scale-free guidance — only relative preferences cost anything).
+    ///
+    /// [`RoutingGuidance::scale_floor`]: crate::guidance::RoutingGuidance::scale_floor
     pub guidance_norm: f64,
     pub cfg: &'a RouterConfig,
     pub net: NetId,
@@ -242,19 +280,33 @@ pub(crate) struct StepCost<'a, G: GridView> {
 }
 
 impl<G: GridView> StepCost<'_, G> {
-    /// Whether the search may stand on `idx` at all.
-    fn passable(&self, idx: usize) -> bool {
-        let grid = self.grid;
-        if grid.is_blocked(idx) {
+    /// Whether `owner` is this net or its symmetric partner.
+    #[inline]
+    fn is_ours(&self, owner: NetId) -> bool {
+        owner == self.net || Some(owner) == self.mirror_net
+    }
+
+    /// Whether the search may stand on `cell` — no obstacle, no other
+    /// net's pin.
+    #[inline]
+    fn open_cell(&self, cell: Cell) -> bool {
+        if cell.is_blocked() {
             return false;
         }
-        if let Some(owner) = grid.owner(idx) {
-            if owner != self.net && Some(owner) != self.mirror_net && grid.is_pin(idx) {
-                return false; // never touch another net's pin
-            }
+        match cell.owner() {
+            Some(owner) => self.is_ours(owner) || !cell.is_pin(),
+            None => true,
+        }
+    }
+
+    /// Whether the search may stand on node `idx` at grid point `g`.
+    #[inline]
+    fn passable(&self, idx: usize, g: GridPoint) -> bool {
+        let grid = self.grid;
+        if !self.open_cell(grid.cell(idx)) {
+            return false;
         }
         if self.enforce_mirror {
-            let g = grid.dim().from_flat(idx);
             // Mirrored routing is confined to the net's own (left) half-plane
             // so a route can never collide with its own mirror image.
             if g.x >= grid.axis_col() {
@@ -263,15 +315,8 @@ impl<G: GridView> StepCost<'_, G> {
             match grid.mirror(g) {
                 None => return false,
                 Some(m) => {
-                    let midx = grid.dim().flat_index(m);
-                    if grid.is_blocked(midx) {
+                    if !self.open_cell(grid.cell(grid.dim().flat_index(m))) {
                         return false;
-                    }
-                    if let Some(owner) = grid.owner(midx) {
-                        if owner != self.net && Some(owner) != self.mirror_net && grid.is_pin(midx)
-                        {
-                            return false;
-                        }
                     }
                 }
             }
@@ -279,11 +324,12 @@ impl<G: GridView> StepCost<'_, G> {
         true
     }
 
-    /// Cost of stepping onto `idx` along `axis`.
-    fn enter_cost(&self, idx: usize, axis: Axis, layer: u8) -> f64 {
+    /// Cost of stepping onto node `idx` (grid point `g`) along `axis`.
+    #[inline]
+    fn enter_cost(&self, idx: usize, g: GridPoint, axis: Axis, layer: u8) -> f64 {
         let grid = self.grid;
         let cfg = self.cfg;
-        let pos = grid.node_dbu(idx);
+        let pos = grid.dim().to_dbu(g);
         let mut cost = match axis {
             Axis::Z => cfg.via_cost,
             a => {
@@ -295,14 +341,14 @@ impl<G: GridView> StepCost<'_, G> {
                 }
             }
         };
-        cost *= (self.guidance.multiplier(self.net, pos, axis) * self.guidance_norm)
-            .max(cfg.min_guidance);
+        cost *= (self.guidance.multiplier(pos, axis) * self.guidance_norm).max(cfg.min_guidance);
         // Congestion negotiation. History applies even on currently-free
         // nodes (PathFinder): a node that keeps being contested must repel
         // every net, not just the late-comer.
-        let mut penalty = f64::from(grid.history(idx));
-        if let Some(owner) = grid.owner(idx) {
-            if owner == self.net || Some(owner) == self.mirror_net {
+        let cell = grid.cell(idx);
+        let mut penalty = f64::from(cell.history);
+        if let Some(owner) = cell.owner() {
+            if self.is_ours(owner) {
                 cost *= cfg.reuse_discount;
                 penalty = 0.0;
             } else {
@@ -310,12 +356,11 @@ impl<G: GridView> StepCost<'_, G> {
             }
         }
         if self.enforce_mirror {
-            let g = grid.dim().from_flat(idx);
             if let Some(m) = grid.mirror(g) {
-                let midx = grid.dim().flat_index(m);
-                if let Some(owner) = grid.owner(midx) {
-                    if owner != self.net && Some(owner) != self.mirror_net {
-                        penalty += cfg.present_cost + f64::from(grid.history(midx));
+                let mirror = grid.cell(grid.dim().flat_index(m));
+                if let Some(owner) = mirror.owner() {
+                    if !self.is_ours(owner) {
+                        penalty += cfg.present_cost + f64::from(mirror.history);
                     }
                 }
             }
@@ -342,6 +387,8 @@ fn grid_preferred(layer: u8, axis: Axis) -> bool {
 /// is a valid (and much sharper) lower bound that lets the search prune
 /// frontier nodes whose optimistic completion already exceeds the best
 /// known target cost.
+///
+/// [`RoutingGuidance::scale_floor`]: crate::guidance::RoutingGuidance::scale_floor
 fn heuristic_scale(cfg: &RouterConfig) -> f64 {
     let base = if cfg.guidance_aware_h {
         1.0
@@ -386,8 +433,7 @@ fn search_uni<G: GridView>(
         buffers.target_stamp[t] = gen;
     }
     let target_points: Vec<GridPoint> = targets.iter().map(|&t| dim.from_flat(t)).collect();
-    let h = |node: usize| -> f64 {
-        let g = dim.from_flat(node);
+    let h = |g: GridPoint| -> f64 {
         let mut best = u64::MAX;
         for t in &target_points {
             best = best.min(g.manhattan(*t));
@@ -395,19 +441,24 @@ fn search_uni<G: GridView>(
         best as f64 * h_scale
     };
 
+    let labels = &mut buffers.fwd;
+    let target_stamp = &buffers.target_stamp;
     let mut open = match step.cfg.open_list {
         OpenListKind::Bucket => Open::Bucket(&mut buffers.fwd_bucket),
         _ => Open::Heap(&mut buffers.fwd_heap),
     };
     open.clear();
     for &s in sources {
-        if !step.passable(s) {
+        let sg = dim.from_flat(s);
+        if !step.passable(s, sg) {
             continue;
         }
-        buffers.dist[s] = 0.0;
-        buffers.stamp[s] = gen;
-        buffers.came[s] = u32::MAX;
-        open.push(h(s), 0.0, s);
+        labels[s] = Label {
+            dist: 0.0,
+            came: u32::MAX,
+            stamp: gen,
+        };
+        open.push(h(sg), 0.0, s);
     }
 
     // Best target reached so far: μ. The search keeps going until the open
@@ -431,11 +482,12 @@ fn search_uni<G: GridView>(
                 continue; // cannot beat the best target already found
             }
         }
-        if buffers.stamp[node] == gen && g > buffers.dist[node] + 1e-12 {
+        let label = labels[node];
+        if label.stamp == gen && g > label.dist + 1e-12 {
             continue; // stale entry
         }
         expansions += 1;
-        if buffers.target_stamp[node] == gen {
+        if target_stamp[node] == gen {
             if best.is_none_or(|(mu, _)| g < mu - 1e-12) {
                 best = Some((g, node));
             }
@@ -445,16 +497,12 @@ fn search_uni<G: GridView>(
         // Approximate bend cost: compare each candidate direction with the
         // direction this node was reached from (path-dependent, so not a
         // strict A* cost — standard maze-router practice).
-        let incoming_axis = if buffers.came[node] != u32::MAX {
-            axis_between(dim.from_flat(buffers.came[node] as usize), gp)
-        } else {
-            None
-        };
+        let incoming_axis = step_axis(&dim, label.came, node);
         for dir in Dir3::ALL {
             let Some((ng, nidx)) = neighbor(&dim, gp, dir) else {
                 continue;
             };
-            if !step.passable(nidx) {
+            if !step.passable(nidx, ng) {
                 continue;
             }
             let layer = if dir.axis() == Axis::Z {
@@ -468,17 +516,20 @@ fn search_uni<G: GridView>(
                 }
                 _ => 0.0,
             };
-            let ncost = g + step.enter_cost(nidx, dir.axis(), layer) + bend;
-            if buffers.stamp[nidx] != gen || ncost + 1e-12 < buffers.dist[nidx] {
-                let nf = ncost + h(nidx);
+            let ncost = g + step.enter_cost(nidx, ng, dir.axis(), layer) + bend;
+            let next = &mut labels[nidx];
+            if next.stamp != gen || ncost + 1e-12 < next.dist {
+                let nf = ncost + h(ng);
                 if let Some((mu, _)) = best {
                     if nf >= mu - 1e-12 {
                         continue; // prune: optimistic completion already loses
                     }
                 }
-                buffers.stamp[nidx] = gen;
-                buffers.dist[nidx] = ncost;
-                buffers.came[nidx] = node as u32;
+                *next = Label {
+                    dist: ncost,
+                    came: node as u32,
+                    stamp: gen,
+                };
                 open.push(nf, ncost, nidx);
             }
         }
@@ -487,8 +538,8 @@ fn search_uni<G: GridView>(
     let (cost, end) = best?;
     let mut nodes = vec![end];
     let mut cur = end;
-    while buffers.came[cur] != u32::MAX {
-        cur = buffers.came[cur] as usize;
+    while labels[cur].came != u32::MAX {
+        cur = labels[cur].came as usize;
         nodes.push(cur);
     }
     nodes.reverse();
@@ -512,9 +563,12 @@ fn search_bidir<G: GridView>(
 ) -> Option<FoundPath> {
     let dim = *step.grid.dim();
     buffers.ensure(dim.len());
+    buffers.ensure_bwd(dim.len());
     buffers.next_gen();
     let gen = buffers.cur;
-    if !step.passable(source) || !step.passable(target) {
+    if !step.passable(source, dim.from_flat(source))
+        || !step.passable(target, dim.from_flat(target))
+    {
         return None;
     }
     if source == target {
@@ -536,13 +590,14 @@ fn search_bidir<G: GridView>(
     };
     fwd.clear();
     bwd.clear();
-    buffers.dist[source] = 0.0;
-    buffers.stamp[source] = gen;
-    buffers.came[source] = u32::MAX;
+    let root = Label {
+        dist: 0.0,
+        came: u32::MAX,
+        stamp: gen,
+    };
+    buffers.fwd[source] = root;
     fwd.push(0.0, 0.0, source);
-    buffers.bdist[target] = 0.0;
-    buffers.bstamp[target] = gen;
-    buffers.bcame[target] = u32::MAX;
+    buffers.bwd[target] = root;
     bwd.push(0.0, 0.0, target);
 
     // Best known source→target cost μ and its meeting node.
@@ -564,40 +619,25 @@ fn search_bidir<G: GridView>(
         let Some((_, g, node)) = (if forward { fwd.pop() } else { bwd.pop() }) else {
             continue;
         };
-        let (dist, came, stamp, odist, ostamp) = if forward {
-            (
-                &mut buffers.dist,
-                &mut buffers.came,
-                &mut buffers.stamp,
-                &buffers.bdist,
-                &buffers.bstamp,
-            )
+        let (labels, other) = if forward {
+            (&mut buffers.fwd, &buffers.bwd)
         } else {
-            (
-                &mut buffers.bdist,
-                &mut buffers.bcame,
-                &mut buffers.bstamp,
-                &buffers.dist,
-                &buffers.stamp,
-            )
+            (&mut buffers.bwd, &buffers.fwd)
         };
-        if stamp[node] == gen && g > dist[node] + 1e-12 {
+        let label = labels[node];
+        if label.stamp == gen && g > label.dist + 1e-12 {
             continue; // stale entry
         }
         expansions += 1;
         let gp = dim.from_flat(node);
         // Axis of the edge this node already has on its own side: toward the
         // source (forward came) or toward the target (backward came).
-        let settled_axis = if came[node] != u32::MAX {
-            axis_between(dim.from_flat(came[node] as usize), gp)
-        } else {
-            None
-        };
+        let settled_axis = step_axis(&dim, label.came, node);
         for dir in Dir3::ALL {
             let Some((ng, nidx)) = neighbor(&dim, gp, dir) else {
                 continue;
             };
-            if !step.passable(nidx) {
+            if !step.passable(nidx, ng) {
                 continue;
             }
             let bend = match settled_axis {
@@ -608,35 +648,33 @@ fn search_bidir<G: GridView>(
             };
             // Forward: pay to enter the neighbor. Backward: the forward path
             // underneath steps neighbor→node, so pay to enter *node*.
-            let (enter_idx, hi_l) = if forward {
-                (nidx, gp.l.max(ng.l))
-            } else {
-                (node, gp.l.max(ng.l))
-            };
+            let (enter_idx, enter_g) = if forward { (nidx, ng) } else { (node, gp) };
             let layer = if dir.axis() == Axis::Z {
-                hi_l
-            } else if forward {
-                ng.l
+                gp.l.max(ng.l)
             } else {
-                gp.l
+                enter_g.l
             };
-            let ncost = g + step.enter_cost(enter_idx, dir.axis(), layer) + bend;
-            if stamp[nidx] != gen || ncost + 1e-12 < dist[nidx] {
+            let ncost = g + step.enter_cost(enter_idx, enter_g, dir.axis(), layer) + bend;
+            let next = &mut labels[nidx];
+            if next.stamp != gen || ncost + 1e-12 < next.dist {
                 if let Some((mu, _)) = best {
                     if ncost >= mu - 1e-12 {
                         continue;
                     }
                 }
-                stamp[nidx] = gen;
-                dist[nidx] = ncost;
-                came[nidx] = node as u32;
+                *next = Label {
+                    dist: ncost,
+                    came: node as u32,
+                    stamp: gen,
+                };
                 if forward {
                     fwd.push(ncost, ncost, nidx);
                 } else {
                     bwd.push(ncost, ncost, nidx);
                 }
-                if ostamp[nidx] == gen {
-                    let total = ncost + odist[nidx];
+                let meet = other[nidx];
+                if meet.stamp == gen {
+                    let total = ncost + meet.dist;
                     if best.is_none_or(|(mu, _)| total < mu - 1e-12) {
                         best = Some((total, nidx));
                     }
@@ -648,33 +686,38 @@ fn search_bidir<G: GridView>(
     let (cost, meet) = best?;
     let mut nodes = vec![meet];
     let mut cur = meet;
-    while buffers.came[cur] != u32::MAX {
-        cur = buffers.came[cur] as usize;
+    while buffers.fwd[cur].came != u32::MAX {
+        cur = buffers.fwd[cur].came as usize;
         nodes.push(cur);
     }
     nodes.reverse();
     cur = meet;
-    while buffers.bcame[cur] != u32::MAX {
-        cur = buffers.bcame[cur] as usize;
+    while buffers.bwd[cur].came != u32::MAX {
+        cur = buffers.bwd[cur].came as usize;
         nodes.push(cur);
     }
     Some(FoundPath { nodes, cost })
 }
 
-/// Axis of the (unit) step from `a` to `b`, `None` when coincident.
-fn axis_between(a: GridPoint, b: GridPoint) -> Option<Axis> {
-    if a.x != b.x {
-        Some(Axis::X)
-    } else if a.y != b.y {
-        Some(Axis::Y)
-    } else if a.l != b.l {
-        Some(Axis::Z)
-    } else {
-        None
+/// Axis of the unit step between flat indices `from` and `to`; `None` when
+/// `from` is `u32::MAX` (a search root). Index deltas identify the axis
+/// because `nx ≥ 2` and `ny ≥ 2` make 1, `nx` and `nx·ny` distinct.
+#[inline]
+fn step_axis(dim: &af_geom::GridDim, from: u32, to: usize) -> Option<Axis> {
+    if from == u32::MAX {
+        return None;
+    }
+    let nx = dim.nx() as usize;
+    match (from as usize).abs_diff(to) {
+        0 => None,
+        1 => Some(Axis::X),
+        d if d == nx => Some(Axis::Y),
+        _ => Some(Axis::Z),
     }
 }
 
 /// In-bounds neighbor of `gp` along `dir`, with its flat index.
+#[inline]
 fn neighbor(dim: &af_geom::GridDim, gp: GridPoint, dir: Dir3) -> Option<(GridPoint, usize)> {
     let (dx, dy, dz) = dir.delta();
     let nxt = (
@@ -772,10 +815,15 @@ mod tests {
     fn stamp_generation_wraps_safely() {
         let mut b = SearchBuffers::default();
         b.ensure(4);
+        b.ensure_bwd(4);
+        b.fwd[2].stamp = u32::MAX;
+        b.bwd[3].stamp = u32::MAX;
+        b.target_stamp[1] = u32::MAX;
         b.cur = u32::MAX;
         b.next_gen();
         assert_eq!(b.cur, 1);
-        assert!(b.stamp.iter().all(|&s| s == 0));
+        assert!(b.fwd.iter().chain(&b.bwd).all(|l| l.stamp == 0));
+        assert!(b.target_stamp.iter().all(|&s| s == 0));
     }
 
     /// An admissible-cost config: reuse discount off and via cost ≥ 1 keep
@@ -806,7 +854,7 @@ mod tests {
     ) -> Option<(f64, usize)> {
         let step = StepCost {
             grid,
-            guidance: &RoutingGuidance::None,
+            guidance: NetGuidance::Neutral,
             guidance_norm: 1.0,
             cfg,
             net,

@@ -5,9 +5,56 @@ use af_netlist::{Circuit, DeviceKind, NetId};
 use af_place::Placement;
 use af_tech::Technology;
 
-/// Occupancy encoding: `FREE`, `BLOCKED`, or `NET_BASE + net index`.
-const FREE: u32 = u32::MAX;
-const BLOCKED: u32 = u32::MAX - 1;
+/// Occupancy encoding: `FREE`, `BLOCKED`, or a net index, with `PIN` set
+/// on a net's pin access points.
+const FREE: u32 = 0x7FFF_FFFF;
+const BLOCKED: u32 = 0x7FFF_FFFE;
+const PIN: u32 = 0x8000_0000;
+
+/// One grid node's mutable state, packed so a search step reads a single
+/// 8-byte record: occupancy (owner plus pin flag) and negotiation history.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Cell {
+    occ: u32,
+    /// Negotiated-routing history cost.
+    pub(crate) history: f32,
+}
+
+impl Cell {
+    /// A free cell carrying `history`.
+    pub(crate) fn free(history: f32) -> Self {
+        Self { occ: FREE, history }
+    }
+
+    /// A cell owned (not as a pin) by `net`, carrying `history`.
+    pub(crate) fn owned(net: NetId, history: f32) -> Self {
+        Self {
+            occ: net.index() as u32,
+            history,
+        }
+    }
+
+    /// Whether the node is a hard obstacle.
+    #[inline]
+    pub(crate) fn is_blocked(self) -> bool {
+        self.occ == BLOCKED
+    }
+
+    /// Whether the node is a pin access point.
+    #[inline]
+    pub(crate) fn is_pin(self) -> bool {
+        self.occ & PIN != 0
+    }
+
+    /// The owning net, if any.
+    #[inline]
+    pub(crate) fn owner(self) -> Option<NetId> {
+        match self.occ {
+            FREE | BLOCKED => None,
+            n => Some(NetId::new(n & !PIN)),
+        }
+    }
+}
 
 /// The routing grid of one placement: node occupancy, history costs, pin
 /// flags, and the symmetry-mirror transform.
@@ -16,12 +63,8 @@ const BLOCKED: u32 = u32::MAX - 1;
 #[derive(Debug, Clone)]
 pub struct RoutingGrid {
     dim: GridDim,
-    /// Primary owner per node (`FREE`, `BLOCKED`, or net index).
-    occ: Vec<u32>,
-    /// Negotiated-routing history cost per node.
-    history: Vec<f32>,
-    /// Nodes that are pin access points (impassable for other nets).
-    is_pin: Vec<bool>,
+    /// Occupancy, pin flag and history per node.
+    cells: Vec<Cell>,
     /// Grid column of the symmetry axis.
     axis_col: u32,
     layer_pitch: i64,
@@ -53,9 +96,7 @@ impl RoutingGrid {
 
         let mut grid = Self {
             dim,
-            occ: vec![FREE; dim.len()],
-            history: vec![0.0; dim.len()],
-            is_pin: vec![false; dim.len()],
+            cells: vec![Cell::free(0.0); dim.len()],
             axis_col: cols_left as u32,
             layer_pitch: tech.layer_pitch(),
         };
@@ -83,7 +124,7 @@ impl RoutingGrid {
                 }
                 let g = GridPoint::new(x as u32, y as u32, layer);
                 let idx = self.dim.flat_index(g);
-                self.occ[idx] = BLOCKED;
+                self.cells[idx].occ = BLOCKED;
             }
         }
     }
@@ -129,48 +170,56 @@ impl RoutingGrid {
 
     /// Whether the node is free (unowned and unblocked).
     pub fn is_free(&self, idx: usize) -> bool {
-        self.occ[idx] == FREE
+        self.cells[idx].occ == FREE
     }
 
     /// Whether the node is a hard obstacle.
     pub fn is_blocked(&self, idx: usize) -> bool {
-        self.occ[idx] == BLOCKED
+        self.cells[idx].is_blocked()
     }
 
     /// The net owning the node, if any.
     pub fn owner(&self, idx: usize) -> Option<NetId> {
-        match self.occ[idx] {
-            FREE | BLOCKED => None,
-            n => Some(NetId::new(n)),
-        }
+        self.cells[idx].owner()
     }
 
     /// Whether the node is a pin access point.
     pub fn is_pin(&self, idx: usize) -> bool {
-        self.is_pin[idx]
+        self.cells[idx].is_pin()
     }
 
     /// History cost of the node.
     pub fn history(&self, idx: usize) -> f32 {
-        self.history[idx]
+        self.cells[idx].history
+    }
+
+    /// The node's packed state.
+    #[inline]
+    pub(crate) fn cell(&self, idx: usize) -> Cell {
+        self.cells[idx]
     }
 
     /// Adds negotiated-routing history cost to the node.
     pub fn bump_history(&mut self, idx: usize, amount: f32) {
-        self.history[idx] += amount;
+        self.cells[idx].history += amount;
     }
 
     /// Claims a free (or already-owned-by-`net`) node for `net`.
     ///
     /// Returns `false` when the node is blocked or owned by a different net.
     pub fn claim(&mut self, idx: usize, net: NetId) -> bool {
-        match self.occ[idx] {
+        debug_assert!(
+            net.index() < BLOCKED as usize,
+            "net index collides with occupancy codes"
+        );
+        let occ = &mut self.cells[idx].occ;
+        match *occ {
             FREE => {
-                self.occ[idx] = net.index() as u32;
+                *occ = net.index() as u32;
                 true
             }
             BLOCKED => false,
-            n => n == net.index() as u32,
+            n => n & !PIN == net.index() as u32,
         }
     }
 
@@ -182,22 +231,39 @@ impl RoutingGrid {
     pub fn claim_pin(&mut self, idx: usize, net: NetId) {
         let ok = self.claim(idx, net);
         assert!(ok, "pin node already taken by another net");
-        self.is_pin[idx] = true;
+        self.cells[idx].occ |= PIN;
     }
 
-    /// Releases every non-pin node owned by `net`.
+    /// Releases every non-pin node owned by `net`, scanning the whole grid.
+    ///
+    /// The router knows each net's claims and releases only those;
+    /// this full scan is for callers that do not.
     pub fn release_net(&mut self, net: NetId) {
         let raw = net.index() as u32;
-        for idx in 0..self.occ.len() {
-            if self.occ[idx] == raw && !self.is_pin[idx] {
-                self.occ[idx] = FREE;
+        for cell in &mut self.cells {
+            if cell.occ == raw {
+                cell.occ = FREE;
+            }
+        }
+    }
+
+    /// Releases the non-pin nodes among `nodes` that `net` owns. Equivalent
+    /// to [`Self::release_net`] when `nodes` covers every node the net has
+    /// claimed, at the cost of the claims instead of the grid.
+    pub(crate) fn release_nodes(&mut self, net: NetId, nodes: impl IntoIterator<Item = u32>) {
+        let raw = net.index() as u32;
+        for n in nodes {
+            let cell = &mut self.cells[n as usize];
+            if cell.occ == raw {
+                cell.occ = FREE;
             }
         }
     }
 
     /// Unblocks a node (used when a pin shape overlaps a device keepout).
+    /// Clears ownership and the pin flag; history is kept.
     pub fn force_free(&mut self, idx: usize) {
-        self.occ[idx] = FREE;
+        self.cells[idx].occ = FREE;
     }
 
     /// Converts a node index to its dbu location.
@@ -207,7 +273,7 @@ impl RoutingGrid {
 
     /// Number of free nodes (for tests / diagnostics).
     pub fn free_count(&self) -> usize {
-        self.occ.iter().filter(|&&o| o == FREE).count()
+        self.cells.iter().filter(|c| c.occ == FREE).count()
     }
 }
 
@@ -284,6 +350,39 @@ mod tests {
         g.release_net(net);
         assert_eq!(g.owner(idx), Some(net));
         assert!(g.is_pin(idx));
+    }
+
+    #[test]
+    fn release_nodes_matches_full_scan() {
+        // Routed state as the router builds it: pins, then per-net claims,
+        // some of which fail because another net got the node first.
+        let (c, p, g0) = grid();
+        let mut g = g0;
+        let _aps = crate::PinAccessMap::extract(&c, &p, &mut g);
+        let nets = c.nets().len() as u32;
+        let mut claimed: Vec<Vec<u32>> = vec![Vec::new(); nets as usize];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let idx = (state % g.dim().len() as u64) as usize;
+            let net = ((state >> 32) % u64::from(nets)) as u32;
+            g.claim(idx, NetId::new(net));
+            claimed[net as usize].push(idx as u32);
+        }
+        for i in 0..nets {
+            g.bump_history(i as usize * 7, 3.0);
+        }
+        for net in 0..nets {
+            let id = NetId::new(net);
+            let mut scan = g.clone();
+            scan.release_net(id);
+            let mut listed = g.clone();
+            listed.release_nodes(id, claimed[net as usize].iter().copied());
+            assert_eq!(scan.cells, listed.cells, "net {net}");
+            assert!(scan.free_count() >= g.free_count());
+        }
     }
 
     #[test]

@@ -73,19 +73,7 @@ impl NonUniformGuidance {
     /// of the *nearest* guided access point of that net (1.0 when the net is
     /// unguided).
     pub fn multiplier(&self, net: NetId, pos: Point3, axis: Axis) -> f64 {
-        let Some(list) = self.entries.get(&(net.index() as u32)) else {
-            return 1.0;
-        };
-        let mut best = None;
-        let mut best_d = i64::MAX;
-        for (ap, triple) in list {
-            let d = ap.manhattan_3d(pos, 1);
-            if d < best_d {
-                best_d = d;
-                best = Some(triple);
-            }
-        }
-        best.map(|t| t[axis.index()]).unwrap_or(1.0)
+        nearest_multiplier(self.of_net(net), pos, axis)
     }
 
     /// Smallest multiplier `net` can see anywhere, any axis (1.0 when the
@@ -170,9 +158,15 @@ impl GuidanceMap2D {
     /// Multiplier for `net` at dbu position `pos` (1.0 for unmapped nets or
     /// positions outside the window).
     pub fn multiplier(&self, net: NetId, pos: Point3) -> f64 {
-        let Some(map) = self.maps.get(&(net.index() as u32)) else {
-            return 1.0;
-        };
+        match self.maps.get(&(net.index() as u32)) {
+            Some(map) => self.sample(map, pos),
+            None => 1.0,
+        }
+    }
+
+    /// Samples one net's raster at `pos` (1.0 outside the window).
+    #[inline]
+    fn sample(&self, map: &[f64], pos: Point3) -> f64 {
         let fx = (pos.x - self.origin.0) as f64 / self.size.0 as f64;
         let fy = (pos.y - self.origin.1) as f64 / self.size.1 as f64;
         if !(0.0..1.0).contains(&fx) || !(0.0..1.0).contains(&fy) {
@@ -201,6 +195,48 @@ impl GuidanceMap2D {
     }
 }
 
+/// Triple component of the access point nearest to `pos` (the first one on
+/// distance ties); 1.0 for an empty list.
+#[inline]
+fn nearest_multiplier(list: &[(Point3, CostTriple)], pos: Point3, axis: Axis) -> f64 {
+    let mut best = None;
+    let mut best_d = i64::MAX;
+    for (ap, triple) in list {
+        let d = ap.manhattan_3d(pos, 1);
+        if d < best_d {
+            best_d = d;
+            best = Some(triple);
+        }
+    }
+    best.map(|t| t[axis.index()]).unwrap_or(1.0)
+}
+
+/// One net's guidance, resolved once per net route so the search's step
+/// cost reads the net's access points or raster directly instead of
+/// looking the net up on every step. Returns exactly what
+/// [`RoutingGuidance::multiplier`] returns for that net.
+#[derive(Clone, Copy)]
+pub(crate) enum NetGuidance<'a> {
+    /// Unguided: every multiplier is 1.0.
+    Neutral,
+    /// The net's guided access points; the nearest one's triple applies.
+    Points(&'a [(Point3, CostTriple)]),
+    /// The net's raster on a 2-D map.
+    Raster(&'a GuidanceMap2D, &'a [f64]),
+}
+
+impl NetGuidance<'_> {
+    /// Directional step-cost multiplier at `pos` along `axis`.
+    #[inline]
+    pub(crate) fn multiplier(self, pos: Point3, axis: Axis) -> f64 {
+        match self {
+            NetGuidance::Neutral => 1.0,
+            NetGuidance::Points(list) => nearest_multiplier(list, pos, axis),
+            NetGuidance::Raster(map, values) => map.sample(values, pos),
+        }
+    }
+}
+
 /// The guidance input to the router.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RoutingGuidance {
@@ -219,6 +255,21 @@ impl RoutingGuidance {
             RoutingGuidance::None => 1.0,
             RoutingGuidance::NonUniform(g) => g.multiplier(net, pos, axis),
             RoutingGuidance::Map(m) => m.multiplier(net, pos),
+        }
+    }
+
+    /// Resolves `net`'s guidance for a search (see [`NetGuidance`]).
+    pub(crate) fn resolve(&self, net: NetId) -> NetGuidance<'_> {
+        match self {
+            RoutingGuidance::None => NetGuidance::Neutral,
+            RoutingGuidance::NonUniform(g) => match g.entries.get(&(net.index() as u32)) {
+                Some(list) => NetGuidance::Points(list),
+                None => NetGuidance::Neutral,
+            },
+            RoutingGuidance::Map(m) => match m.maps.get(&(net.index() as u32)) {
+                Some(values) => NetGuidance::Raster(m, values),
+                None => NetGuidance::Neutral,
+            },
         }
     }
 
@@ -320,6 +371,42 @@ mod tests {
         let mut m2 = GuidanceMap2D::new(1, 1, (0, 0), (10, 10));
         m2.set_net(net, vec![5.0]);
         assert_eq!(RoutingGuidance::Map(m2).min_multiplier(net), 1.0);
+    }
+
+    #[test]
+    fn resolved_guidance_matches_lookup() {
+        let (a, b) = (NetId::new(0), NetId::new(4));
+        let mut g = NonUniformGuidance::new();
+        g.set(a, Point3::new(0, 0, 0), CostTriple([0.5, 2.0, 1.5]));
+        g.set(a, Point3::new(60, 0, 1), CostTriple([3.0, 0.7, 1.1]));
+        // equidistant from both APs: the first one wins the tie
+        g.set(a, Point3::new(120, 0, 0), CostTriple([9.0, 9.0, 9.0]));
+        let mut m = GuidanceMap2D::new(3, 2, (0, 0), (90, 60));
+        m.set_net(a, vec![0.5, 1.5, 2.5, 3.5, 4.5, 5.5]);
+        let fields = [
+            RoutingGuidance::None,
+            RoutingGuidance::NonUniform(g),
+            RoutingGuidance::Map(m),
+        ];
+        for field in &fields {
+            for net in [a, b] {
+                let resolved = field.resolve(net);
+                for x in (-30..150).step_by(7) {
+                    for y in (-10..70).step_by(9) {
+                        for z in 0..3 {
+                            let pos = Point3::new(x, y, z);
+                            for axis in Axis::ALL {
+                                assert_eq!(
+                                    resolved.multiplier(pos, axis).to_bits(),
+                                    field.multiplier(net, pos, axis).to_bits(),
+                                    "{field:?} {net} {pos} {axis:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::astar::{search, SearchBuffers, StepCost};
 use crate::grid::RoutingGrid;
 use crate::guidance::RoutingGuidance;
 use crate::post;
-use crate::view::{GridView, TaskView};
+use crate::view::{GridView, Overlay, TaskView};
 use crate::{RoutedLayout, RoutedNet};
 
 /// Open-list engine for the A* inner loop.
@@ -78,7 +78,9 @@ pub struct RouterConfig {
     /// Open-list engine for the A* inner loop.
     pub open_list: OpenListKind,
     /// Bidirectional search for plain two-pin connections whose heuristic
-    /// is too weak to steer a one-sided search.
+    /// is too weak to steer a one-sided search. Only engages with
+    /// `guidance_aware_h = false`: the default guidance-aware heuristic is
+    /// strong enough that every search stays one-sided.
     pub bidirectional: bool,
     /// Scale the A* heuristic by the normalized per-net guidance floor
     /// (unit, because multipliers are normalized scale-free per net) instead
@@ -263,7 +265,8 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Bidirectional search for weakly-guided two-pin connections.
+    /// Bidirectional search for two-pin connections under the weak
+    /// (`guidance_aware_h = false`) heuristic.
     #[must_use]
     pub fn bidirectional(mut self, v: bool) -> Self {
         self.cfg.bidirectional = v;
@@ -457,6 +460,26 @@ thread_local! {
     /// call, so these are re-initialized each round — still a win, because
     /// every net a worker routes within a round reuses one allocation.
     static BUFFERS: RefCell<SearchBuffers> = RefCell::new(SearchBuffers::default());
+    /// Per-worker task overlay, reused by every task the worker routes.
+    static OVERLAY: RefCell<Overlay> = RefCell::new(Overlay::default());
+}
+
+/// Releases the previous claims of every member of the `pending` tasks.
+/// `routes` holds every node a net has claimed, so releasing from it
+/// matches a full-grid [`RoutingGrid::release_net`] scan.
+fn release_pending(
+    grid: &mut RoutingGrid,
+    routes: &mut HashMap<u32, NetRoute>,
+    tasks: &[Task],
+    pending: &[usize],
+) {
+    for &ti in pending {
+        for member in tasks[ti].members().into_iter().flatten() {
+            if let Some(r) = routes.remove(&(member.index() as u32)) {
+                grid.release_nodes(member, r.nodes);
+            }
+        }
+    }
 }
 
 /// A routing session: a validated configuration plus the worker runtime.
@@ -553,12 +576,7 @@ impl Router {
 
             if sequential_tail || pending.len() <= 2 {
                 af_obs::counter("route.sequential_rounds", 1);
-                for &ti in &pending {
-                    for member in tasks[ti].members().into_iter().flatten() {
-                        grid.release_net(member);
-                        routes.remove(&(member.index() as u32));
-                    }
-                }
+                release_pending(&mut grid, &mut routes, &tasks, &pending);
                 BUFFERS.with(|b| {
                     let mut buffers = b.borrow_mut();
                     for &ti in &pending {
@@ -583,12 +601,7 @@ impl Router {
                 // Release every pending task's previous-round claims: they were
                 // visible to the other searches as stale present costs, but the
                 // new routes replace them wholesale.
-                for &ti in &pending {
-                    for member in tasks[ti].members().into_iter().flatten() {
-                        grid.release_net(member);
-                        routes.remove(&(member.index() as u32));
-                    }
-                }
+                release_pending(&mut grid, &mut routes, &tasks, &pending);
                 let mut faulted: Vec<usize> = Vec::new();
                 let mut unroutable: Option<RouteError> = None;
                 for (k, outcome) in outcomes.into_iter().enumerate() {
@@ -752,8 +765,19 @@ impl Router {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 af_fault::fail!("route.task", key = ti as u64);
                 BUFFERS.with(|b| {
-                    let mut buffers = b.borrow_mut();
-                    route_task_on_view(circuit, grid, aps, guidance, cfg, tasks[ti], &mut buffers)
+                    OVERLAY.with(|o| {
+                        let mut overlay = o.borrow_mut();
+                        let mut view = TaskView::new(grid, tasks[ti].members(), &mut overlay);
+                        route_task_on_view(
+                            circuit,
+                            &mut view,
+                            aps,
+                            guidance,
+                            cfg,
+                            tasks[ti],
+                            &mut b.borrow_mut(),
+                        )
+                    })
                 })
             }));
             match result {
@@ -903,22 +927,21 @@ fn conflicted_nodes(grid: &RoutingGrid, routes: &HashMap<u32, NetRoute>) -> Hash
     conflicts
 }
 
-/// Routes one task against a private [`TaskView`] of the shared grid,
+/// Routes one task against its private [`TaskView`] of the shared grid,
 /// returning its members' routes in member order.
 fn route_task_on_view(
     circuit: &Circuit,
-    base: &RoutingGrid,
+    view: &mut TaskView<'_>,
     aps: &PinAccessMap,
     guidance: &RoutingGuidance,
     cfg: &RouterConfig,
     task: Task,
     buffers: &mut SearchBuffers,
 ) -> Result<Vec<(NetId, NetRoute)>, RouteError> {
-    let mut view = TaskView::new(base, task.members());
     let mut routes: HashMap<u32, NetRoute> = HashMap::new();
     route_task(
         circuit,
-        &mut view,
+        view,
         aps,
         guidance,
         cfg,
@@ -1030,6 +1053,8 @@ fn route_net<G: GridView>(
     let seed = grid.dim().from_flat(ap_nodes[0] as usize);
     remaining.sort_by_key(|&n| grid.dim().from_flat(n as usize).manhattan(seed));
 
+    let net_guidance = guidance.resolve(net);
+    let guidance_norm = guidance.scale_floor(net).recip();
     while !remaining.is_empty() {
         // Sorted sources: `route.nodes` is a HashSet whose iteration order
         // is seeded per instance, and the bucket open list pops LIFO within
@@ -1039,8 +1064,8 @@ fn route_net<G: GridView>(
         let targets: Vec<usize> = remaining.iter().map(|&n| n as usize).collect();
         let step = StepCost {
             grid: &*grid,
-            guidance,
-            guidance_norm: guidance.scale_floor(net).recip(),
+            guidance: net_guidance,
+            guidance_norm,
             cfg,
             net,
             mirror_net,
@@ -1076,6 +1101,13 @@ mod tests {
     use af_place::{place, PlacementVariant};
 
     fn route_with(circuit: &Circuit, p: &Placement, cfg: RouterConfig) -> RoutedLayout {
+        // Failpoints are process-global: hold the scenario lock so a fault
+        // armed by `faulted_task_degrades_to_sequential` never fires here.
+        let _isolated = af_fault::scenario();
+        route_unisolated(circuit, p, cfg)
+    }
+
+    fn route_unisolated(circuit: &Circuit, p: &Placement, cfg: RouterConfig) -> RoutedLayout {
         Router::new(cfg)
             .unwrap()
             .route(circuit, p, &Technology::nm40(), &RoutingGuidance::None)
@@ -1196,6 +1228,7 @@ mod tests {
         use crate::guidance::NonUniformGuidance;
         use af_geom::CostTriple;
 
+        let _isolated = af_fault::scenario();
         let c = benchmarks::ota1();
         let p = place(&c, PlacementVariant::A);
         let t = Technology::nm40();
@@ -1337,6 +1370,7 @@ mod tests {
     #[test]
     #[allow(deprecated)]
     fn deprecated_route_shim_matches_session() {
+        let _isolated = af_fault::scenario();
         let c = benchmarks::ota1();
         let p = place(&c, PlacementVariant::A);
         let t = Technology::nm40();
@@ -1431,7 +1465,7 @@ mod tests {
         let p = place(&c, PlacementVariant::A);
 
         af_fault::arm_spec("route.task:panic:1.0:1").unwrap();
-        let faulted = route_with(&c, &p, RouterConfig::default());
+        let faulted = route_unisolated(&c, &p, RouterConfig::default());
         let stats = af_fault::stats("route.task").expect("failpoint armed");
         af_fault::disarm_all();
         assert!(stats.fires >= 1, "failpoint should have fired");

@@ -11,13 +11,16 @@
 //! The [`GridView`] trait is what the A* engine ([`crate::astar`]) and the
 //! net-routing loop see; it is implemented both by the real grid (used for
 //! the sequential fault-degradation path) and by the per-task overlay.
+//!
+//! The overlay's claims live in a dense per-worker [`Overlay`] array indexed
+//! like the grid, so resolving a node's effective owner is two array reads
+//! and never a hash lookup. It is reset through the list of nodes it
+//! touched, so a task costs no allocation and no grid-sized clear.
 
-use std::collections::HashMap;
-
-use af_geom::{GridDim, GridPoint, Point3};
+use af_geom::{GridDim, GridPoint};
 use af_netlist::NetId;
 
-use crate::grid::RoutingGrid;
+use crate::grid::{Cell, RoutingGrid};
 
 /// Uniform read/claim interface over a routing grid or a task overlay.
 pub(crate) trait GridView {
@@ -27,16 +30,9 @@ pub(crate) trait GridView {
     fn axis_col(&self) -> u32;
     /// Mirror transform across the symmetry axis.
     fn mirror(&self, g: GridPoint) -> Option<GridPoint>;
-    /// dbu location of a node.
-    fn node_dbu(&self, idx: usize) -> Point3;
-    /// Whether the node is a hard obstacle.
-    fn is_blocked(&self, idx: usize) -> bool;
-    /// Whether the node is a pin access point.
-    fn is_pin(&self, idx: usize) -> bool;
-    /// Effective owner of the node.
-    fn owner(&self, idx: usize) -> Option<NetId>;
-    /// Negotiation history cost of the node.
-    fn history(&self, idx: usize) -> f32;
+    /// The node's state as this view sees it: effective owner, pin flag,
+    /// obstacle flag and history, in one read.
+    fn cell(&self, idx: usize) -> Cell;
     /// Claims a node for `net`; `false` when blocked or owned by another
     /// net (the trespass is still recorded by the caller — negotiation
     /// resolves it later).
@@ -53,23 +49,39 @@ impl GridView for RoutingGrid {
     fn mirror(&self, g: GridPoint) -> Option<GridPoint> {
         RoutingGrid::mirror(self, g)
     }
-    fn node_dbu(&self, idx: usize) -> Point3 {
-        RoutingGrid::node_dbu(self, idx)
-    }
-    fn is_blocked(&self, idx: usize) -> bool {
-        RoutingGrid::is_blocked(self, idx)
-    }
-    fn is_pin(&self, idx: usize) -> bool {
-        RoutingGrid::is_pin(self, idx)
-    }
-    fn owner(&self, idx: usize) -> Option<NetId> {
-        RoutingGrid::owner(self, idx)
-    }
-    fn history(&self, idx: usize) -> f32 {
-        RoutingGrid::history(self, idx)
+    #[inline]
+    fn cell(&self, idx: usize) -> Cell {
+        RoutingGrid::cell(self, idx)
     }
     fn claim_node(&mut self, idx: usize, net: NetId) -> bool {
         RoutingGrid::claim(self, idx, net)
+    }
+}
+
+/// No overlay claim on this node.
+const UNCLAIMED: u32 = u32::MAX;
+
+/// Dense per-worker storage for one task's overlay claims: the claiming
+/// net per node (`UNCLAIMED` elsewhere) plus the nodes written since the
+/// last reset.
+#[derive(Debug, Default)]
+pub(crate) struct Overlay {
+    claims: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl Overlay {
+    /// Clears the previous task's claims and sizes the array for `len`
+    /// nodes. Clearing at the start (not on drop) also recovers from a
+    /// task that panicked mid-route.
+    fn reset(&mut self, len: usize) {
+        for &t in &self.touched {
+            self.claims[t as usize] = UNCLAIMED;
+        }
+        self.touched.clear();
+        if self.claims.len() < len {
+            self.claims.resize(len, UNCLAIMED);
+        }
     }
 }
 
@@ -84,16 +96,22 @@ impl GridView for RoutingGrid {
 pub(crate) struct TaskView<'a> {
     base: &'a RoutingGrid,
     exclude: [Option<NetId>; 2],
-    claims: HashMap<u32, NetId>,
+    overlay: &'a mut Overlay,
 }
 
 impl<'a> TaskView<'a> {
-    /// A fresh view for a task over `exclude` nets (its members).
-    pub(crate) fn new(base: &'a RoutingGrid, exclude: [Option<NetId>; 2]) -> Self {
+    /// A fresh view for a task over `exclude` nets (its members), keeping
+    /// its claims in `overlay` (whose previous contents are discarded).
+    pub(crate) fn new(
+        base: &'a RoutingGrid,
+        exclude: [Option<NetId>; 2],
+        overlay: &'a mut Overlay,
+    ) -> Self {
+        overlay.reset(base.dim().len());
         Self {
             base,
             exclude,
-            claims: HashMap::new(),
+            overlay,
         }
     }
 }
@@ -108,34 +126,30 @@ impl GridView for TaskView<'_> {
     fn mirror(&self, g: GridPoint) -> Option<GridPoint> {
         self.base.mirror(g)
     }
-    fn node_dbu(&self, idx: usize) -> Point3 {
-        self.base.node_dbu(idx)
-    }
-    fn is_blocked(&self, idx: usize) -> bool {
-        self.base.is_blocked(idx)
-    }
-    fn is_pin(&self, idx: usize) -> bool {
-        self.base.is_pin(idx)
-    }
-    fn owner(&self, idx: usize) -> Option<NetId> {
-        if let Some(&n) = self.claims.get(&(idx as u32)) {
-            return Some(n);
+    #[inline]
+    fn cell(&self, idx: usize) -> Cell {
+        let base = self.base.cell(idx);
+        let claim = self.overlay.claims[idx];
+        if claim != UNCLAIMED {
+            // Claims only land on free, unblocked, non-pin nodes.
+            return Cell::owned(NetId::new(claim), base.history);
         }
-        match self.base.owner(idx) {
-            Some(o) if self.exclude.contains(&Some(o)) && !self.base.is_pin(idx) => None,
-            other => other,
+        match base.owner() {
+            Some(o) if self.exclude.contains(&Some(o)) && !base.is_pin() => {
+                Cell::free(base.history)
+            }
+            _ => base,
         }
-    }
-    fn history(&self, idx: usize) -> f32 {
-        self.base.history(idx)
     }
     fn claim_node(&mut self, idx: usize, net: NetId) -> bool {
-        if self.is_blocked(idx) {
+        let cell = self.cell(idx);
+        if cell.is_blocked() {
             return false;
         }
-        match self.owner(idx) {
+        match cell.owner() {
             None => {
-                self.claims.insert(idx as u32, net);
+                self.overlay.claims[idx] = net.index() as u32;
+                self.overlay.touched.push(idx as u32);
                 true
             }
             Some(o) => o == net,
@@ -164,17 +178,42 @@ mod tests {
         assert!(base.claim(idx, committed));
 
         let me = NetId::new(1);
-        let mut v = TaskView::new(&base, [Some(me), None]);
+        let mut overlay = Overlay::default();
+        let mut v = TaskView::new(&base, [Some(me), None], &mut overlay);
         // committed claims of other nets read through
-        assert_eq!(GridView::owner(&v, idx), Some(committed));
+        assert_eq!(v.cell(idx).owner(), Some(committed));
         assert!(!v.claim_node(idx, me), "cannot claim another net's node");
         // fresh claims land in the overlay, not the base
         let free = (0..base.dim().len())
             .find(|&i| base.is_free(i) && i != idx)
             .unwrap();
         assert!(v.claim_node(free, me));
-        assert_eq!(GridView::owner(&v, free), Some(me));
+        assert_eq!(v.cell(free).owner(), Some(me));
+        assert!(!v.cell(free).is_pin());
         assert!(base.is_free(free), "base untouched by overlay claims");
+    }
+
+    #[test]
+    fn overlay_resets_between_tasks() {
+        let base = grid();
+        let free: Vec<usize> = (0..base.dim().len())
+            .filter(|&i| base.is_free(i))
+            .take(3)
+            .collect();
+        let (a, b) = (NetId::new(1), NetId::new(2));
+        let mut overlay = Overlay::default();
+        let mut v = TaskView::new(&base, [Some(a), None], &mut overlay);
+        for &i in &free {
+            assert!(v.claim_node(i, a));
+        }
+        // The next task on this worker sees none of the previous claims.
+        let mut w = TaskView::new(&base, [Some(b), None], &mut overlay);
+        for &i in &free {
+            assert_eq!(w.cell(i).owner(), None);
+        }
+        assert!(w.claim_node(free[0], b));
+        assert_eq!(w.cell(free[0]).owner(), Some(b));
+        assert_eq!(overlay.touched, vec![free[0] as u32]);
     }
 
     #[test]
@@ -188,22 +227,28 @@ mod tests {
         base.claim(wire, me);
         base.claim_pin(pin, me);
 
-        let v = TaskView::new(&base, [Some(me), None]);
+        base.bump_history(wire, 2.5);
+
+        let mut overlay = Overlay::default();
+        let v = TaskView::new(&base, [Some(me), None], &mut overlay);
         assert_eq!(
-            GridView::owner(&v, wire),
+            v.cell(wire).owner(),
             None,
             "previous-round wire is invisible to its own re-route"
         );
-        assert_eq!(GridView::owner(&v, pin), Some(me), "pins stay owned");
-        assert!(GridView::is_pin(&v, pin));
+        assert_eq!(v.cell(wire).history, 2.5, "hidden wires keep history");
+        assert_eq!(v.cell(pin).owner(), Some(me), "pins stay owned");
+        assert!(v.cell(pin).is_pin());
     }
 
     #[test]
     fn blocked_nodes_cannot_be_claimed() {
         let base = grid();
         let blocked = (0..base.dim().len()).find(|&i| base.is_blocked(i)).unwrap();
-        let mut v = TaskView::new(&base, [None, None]);
+        let mut overlay = Overlay::default();
+        let mut v = TaskView::new(&base, [None, None], &mut overlay);
         assert!(!v.claim_node(blocked, NetId::new(0)));
-        assert_eq!(GridView::owner(&v, blocked), None);
+        assert!(v.cell(blocked).is_blocked());
+        assert_eq!(v.cell(blocked).owner(), None);
     }
 }
