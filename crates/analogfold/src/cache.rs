@@ -154,15 +154,14 @@ pub fn design_eval_hash(
     sim: &SimConfig,
 ) -> ContentHash {
     let mut h = ContentHasher::new();
-    h.write_str("design-eval");
+    h.write_str("design-eval/2");
     let g = graph_hash(graph);
     h.write_u64(g.0[0]);
     h.write_u64(g.0[1]);
     // RouterConfig and SimConfig are not serde-serializable; hash their
     // fields directly. RouterConfig is `#[non_exhaustive]`, so the binding
     // below needs `..` — any new af-route knob that can change the layout
-    // must be added here by hand. `threads` is deliberately excluded: the
-    // router's determinism contract makes layouts thread-count independent.
+    // must be added here by hand.
     let RouterConfig {
         coarsen,
         via_cost,

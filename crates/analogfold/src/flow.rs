@@ -210,14 +210,6 @@ impl FlowConfigBuilder {
         self
     }
 
-    /// Sets the router worker-thread count without replacing the rest of
-    /// the router section (`0` = auto: `AFRT_THREADS`, then hardware).
-    #[must_use]
-    pub fn route_threads(mut self, threads: usize) -> Self {
-        self.cfg.router.threads = threads;
-        self
-    }
-
     /// Replaces the simulator section.
     #[must_use]
     pub fn sim(mut self, sim: SimConfig) -> Self {

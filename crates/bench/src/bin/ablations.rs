@@ -12,9 +12,9 @@
 //! change any number).
 //!
 //! Run: `cargo run -p af-bench --bin ablations --release -- [quick|full]
-//!       [threads=N] [route_threads=N]`
+//!       [threads=N]`
 
-use af_bench::{obs_arg, route_threads_arg, threads_arg, Scale};
+use af_bench::{obs_arg, threads_arg, Scale};
 use af_netlist::benchmarks;
 use af_place::{place, PlacementVariant};
 use af_route::{Router, RouterConfig, RoutingGuidance};
@@ -173,10 +173,7 @@ fn main() {
     let sim_cfg = SimConfig::default();
     let best = &pooled[0];
     let field = RoutingGuidance::NonUniform(analogfold::guidance_field(&graph, &best.guidance));
-    let router_cfg = RouterConfig::builder()
-        .threads(route_threads_arg(&args))
-        .build()
-        .expect("valid router config");
+    let router_cfg = RouterConfig::default();
     let nu_layout = Router::new(router_cfg.clone())
         .unwrap()
         .route(&circuit, &placement, &tech, &field)

@@ -53,7 +53,7 @@
 //!
 //! Run: `cargo run -p af-bench --bin loadgen --release --
 //!       [quick|full] [conns=N] [requests=N] [cache=MB] [obs=path]
-//!       [route_threads=a,b,c] [route_jobs=N] [fault=SPEC] [fault_seed=N]
+//!       [route_jobs=N] [fault=SPEC] [fault_seed=N]
 //!       [workers=a,b,c] [coordinator=HOST:PORT] [fleet_conns_per=N]
 //!       [fleet_requests=N] [swap=N] [slow=MS]`
 
@@ -92,8 +92,8 @@ struct LoadgenReport {
     fault_spec: String,
     errors: u64,
     error_rate: f64,
-    /// `POST /v1/route` job latency per router worker count.
-    route: Vec<RouteLatencyRow>,
+    /// `POST /v1/route` job latency.
+    route: RouteLatencyRow,
     /// Fleet scaling rows (empty unless `workers=` or `coordinator=` given).
     fleet: Vec<FleetScalingRow>,
     /// Promote-under-load row (empty unless `swap=` given).
@@ -177,11 +177,9 @@ struct WorkerHitRow {
     hit_ratio: f64,
 }
 
-/// End-to-end `/v1/route` job latency (submit to `done`) at one router
-/// worker count.
+/// End-to-end `/v1/route` job latency (submit to `done`).
 #[derive(Serialize)]
 struct RouteLatencyRow {
-    route_threads: u64,
     jobs: u64,
     p50_ms: f64,
     p99_ms: f64,
@@ -243,13 +241,10 @@ fn json_status(body: &str) -> String {
         .unwrap_or_default()
 }
 
-/// Submits one cheap route job pinned to `route_threads` workers and polls
-/// it to completion, returning submit-to-done latency in milliseconds.
-fn route_job_ms(addr: std::net::SocketAddr, route_threads: u64, seed: u64) -> Option<f64> {
-    let body = format!(
-        "{{\"restarts\":1,\"lbfgs_iters\":2,\"n_derive\":1,\"seed\":{seed},\
-         \"route_threads\":{route_threads}}}"
-    );
+/// Submits one cheap route job and polls it to completion, returning
+/// submit-to-done latency in milliseconds.
+fn route_job_ms(addr: std::net::SocketAddr, seed: u64) -> Option<f64> {
+    let body = format!("{{\"restarts\":1,\"lbfgs_iters\":2,\"n_derive\":1,\"seed\":{seed}}}");
     let t0 = Instant::now();
     let (status, accepted) = http_once(addr, "POST", "/v1/route", &body);
     if status != 202 {
@@ -1054,35 +1049,24 @@ fn main() {
     cold.sort_by(f64::total_cmp);
     warm.sort_by(f64::total_cmp);
 
-    // --- Route-job latency per router worker count -----------------------
+    // --- Route-job latency -------------------------------------------------
     // Cheap flow parameters (1 restart, 1 candidate) keep each job
-    // dominated by the guided routing itself. Jobs run one at a time so a
-    // row measures the router at exactly its `route_threads` setting.
-    let route_thread_counts: Vec<u64> = kv_list(&args, "route_threads")
-        .map(|l| l.iter().filter_map(|s| s.parse().ok()).collect())
-        .unwrap_or_else(|| match scale {
-            Scale::Quick => vec![1, 2],
-            _ => vec![1, 4, 8],
-        });
-    let jobs_per_row = kv_num(
+    // dominated by the guided routing itself. Jobs run one at a time.
+    let route_jobs = kv_num(
         &args,
         "route_jobs",
         if matches!(scale, Scale::Quick) { 2 } else { 3 },
     );
-    let mut route_rows = Vec::new();
-    for &rt in &route_thread_counts {
-        println!("route jobs: {jobs_per_row} at route_threads={rt} ...");
-        let mut lat: Vec<f64> = (0..jobs_per_row)
-            .filter_map(|j| route_job_ms(addr, rt, 99 + j))
-            .collect();
-        lat.sort_by(f64::total_cmp);
-        route_rows.push(RouteLatencyRow {
-            route_threads: rt,
-            jobs: lat.len() as u64,
-            p50_ms: percentile(&lat, 0.50),
-            p99_ms: percentile(&lat, 0.99),
-        });
-    }
+    println!("route jobs: {route_jobs} ...");
+    let mut lat: Vec<f64> = (0..route_jobs)
+        .filter_map(|j| route_job_ms(addr, 99 + j))
+        .collect();
+    lat.sort_by(f64::total_cmp);
+    let route_row = RouteLatencyRow {
+        jobs: lat.len() as u64,
+        p50_ms: percentile(&lat, 0.50),
+        p99_ms: percentile(&lat, 0.99),
+    };
 
     handle.shutdown();
     handle.join();
@@ -1179,7 +1163,7 @@ fn main() {
         fault_spec: fault_spec.unwrap_or_default(),
         errors,
         error_rate: errors as f64 / total.max(1) as f64,
-        route: route_rows,
+        route: route_row,
         fleet: fleet_rows,
         swap: swap_rows,
         slow: slow_rows,
@@ -1192,12 +1176,10 @@ fn main() {
         "cache: {} hits / {} requests (ratio {:.2}), cold p50 {:.2} ms, warm p50 {:.2} ms",
         report.cache_hits, report.total_requests, report.cache_hit_ratio, cold_p50_ms, warm_p50_ms
     );
-    for row in &report.route {
-        println!(
-            "route jobs @ {} thread(s): {} jobs, p50 {:.0} ms, p99 {:.0} ms",
-            row.route_threads, row.jobs, row.p50_ms, row.p99_ms
-        );
-    }
+    println!(
+        "route jobs: {} jobs, p50 {:.0} ms, p99 {:.0} ms",
+        report.route.jobs, report.route.p50_ms, report.route.p99_ms
+    );
     for row in &report.fleet {
         println!(
             "fleet @ {} worker(s), {} conns: {:.1} req/s ({:.2}x vs 1 worker), p50 {:.2} ms, \

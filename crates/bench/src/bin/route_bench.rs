@@ -1,31 +1,28 @@
 //! Detailed-router throughput: negotiated-congestion rounds under the
-//! session API, across open-list engines and worker counts.
+//! session API, across open-list engines.
 //!
-//! Three configurations are measured on each benchmark design:
+//! Two configurations are measured on each benchmark design:
 //!
 //! * **baseline** — the pre-session-API cost model: binary-heap open list,
 //!   no bidirectional search, heuristic floored at `min_guidance`
-//!   (`guidance_aware_h = false`), one thread. This is what the seed
-//!   router's inner loop did per expansion.
-//! * **optimized, 1 thread** — the default [`af_route::RouterConfig`]:
-//!   bucketed open list, bidirectional two-pin search, guidance-aware
-//!   heuristic. The gap to baseline is the *algorithmic* win.
-//! * **optimized, N threads** — the same config at each `threads=` value;
-//!   the gap to 1 thread is the *parallel* win (bounded by the host's
-//!   cores — on a single-core runner it is ~1.0x by construction).
+//!   (`guidance_aware_h = false`). This is what the seed router's inner
+//!   loop did per expansion.
+//! * **optimized** — the default [`af_route::RouterConfig`]: bucketed open
+//!   list and the guidance-aware heuristic. The gap to baseline is the
+//!   *algorithmic* win.
 //!
-//! A fourth row routes what the flow actually runs: seeded dataset-style
+//! A third row routes what the flow actually runs: seeded dataset-style
 //! `NonUniform` guidance samples (a log-uniform `[c_low, c_high]` triple per
 //! guided access point, drawn exactly as dataset generation draws them)
-//! with the default configuration on one thread. It reports the mean
-//! guided route time and the wall time per A* expansion, read from the
+//! with the default configuration. It reports the mean guided route time
+//! and the wall time per A* expansion, read from the
 //! `route.astar_expansions` counter.
 //!
 //! Every run also verifies the routing contracts and exits non-zero on
 //! violation, which the CI `route-bench-smoke` step relies on:
 //!
-//! * **determinism** — the optimized layout is bit-identical at every
-//!   measured thread count;
+//! * **determinism** — routing the design again gives a bit-identical
+//!   layout;
 //! * **engine parity** — bucket and heap open lists both converge to a
 //!   clean layout on the clean designs, with total wirelength within 20%
 //!   (the cost contract itself is proptested in `af-route`);
@@ -33,13 +30,13 @@
 //!   than the baseline on any design.
 //!
 //! Run: `cargo run -p af-bench --bin route_bench --release --
-//!       [quick|full|smoke] [threads=1,4,8] [obs=<path>]`
+//!       [quick|full|smoke] [obs=<path>]`
 
 use std::time::Instant;
 
 use std::sync::Arc;
 
-use af_bench::{kv_list, obs_arg, Scale};
+use af_bench::{obs_arg, Scale};
 use af_netlist::benchmarks;
 use af_place::{place, PlacementVariant};
 use af_route::{OpenListKind, RoutedLayout, Router, RouterConfig, RoutingGuidance};
@@ -53,16 +50,16 @@ use serde::Serialize;
 struct DesignRow {
     design: String,
     nets: usize,
-    /// Baseline (seed-equivalent) configuration, 1 thread.
+    /// Baseline (seed-equivalent) configuration.
     baseline_s: f64,
     baseline_nets_per_sec: f64,
     baseline_rounds: u32,
     baseline_conflicts: u32,
-    /// Optimized configuration per thread count, in `threads` order.
-    optimized: Vec<ThreadRow>,
-    /// baseline_s / optimized@1-thread: the algorithmic speedup.
+    /// Optimized (default) configuration.
+    optimized: OptimizedRow,
+    /// baseline_s / optimized route_s: the algorithmic speedup.
     speedup_vs_baseline: f64,
-    /// Dataset-style guidance samples routed (optimized config, 1 thread).
+    /// Dataset-style guidance samples routed (optimized config).
     guided_samples: usize,
     /// Mean wall time of one guided route.
     guided_route_s: f64,
@@ -73,20 +70,16 @@ struct DesignRow {
 }
 
 #[derive(Serialize)]
-struct ThreadRow {
-    threads: usize,
+struct OptimizedRow {
     route_s: f64,
     nets_per_sec: f64,
     rounds: u32,
     conflicts: u32,
-    /// optimized@1-thread time over this row's time (parallel scaling).
-    speedup_vs_t1: f64,
 }
 
 #[derive(Serialize)]
 struct RouteBenchReport {
     mode: String,
-    threads: Vec<usize>,
     rows: Vec<DesignRow>,
     /// Geometric mean of per-design `speedup_vs_baseline`.
     geomean_speedup_vs_baseline: f64,
@@ -100,16 +93,8 @@ fn baseline_config() -> RouterConfig {
         .open_list(OpenListKind::Heap)
         .bidirectional(false)
         .guidance_aware_h(false)
-        .threads(1)
         .build()
         .expect("baseline config is valid")
-}
-
-fn optimized_config(threads: usize) -> RouterConfig {
-    RouterConfig::builder()
-        .threads(threads)
-        .build()
-        .expect("optimized config is valid")
 }
 
 /// Routes a design and returns the layout with measured wall time (the
@@ -159,8 +144,8 @@ fn count_expansions<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, read() - before)
 }
 
-/// Routes `samples` dataset-style guidance samples on one thread; returns
-/// the mean route time and the total A* expansions.
+/// Routes `samples` dataset-style guidance samples; returns the mean route
+/// time and the total A* expansions.
 fn guided_routes(design: &str, samples: usize) -> (f64, u64) {
     let circuit = benchmarks::by_name(design).expect("known design");
     let placement = place(&circuit, PlacementVariant::A);
@@ -169,7 +154,7 @@ fn guided_routes(design: &str, samples: usize) -> (f64, u64) {
     let fields: Vec<RoutingGuidance> = (0..samples as u64)
         .map(|i| dataset_guidance(&graph, i))
         .collect();
-    let router = Router::new(optimized_config(1)).expect("valid config");
+    let router = Router::new(RouterConfig::default()).expect("valid config");
     let (total_s, expansions) = count_expansions(|| {
         let t0 = Instant::now();
         for field in &fields {
@@ -209,9 +194,6 @@ fn main() {
         }
     };
     let guided_samples = if smoke { 2 } else { 4 };
-    let thread_counts: Vec<usize> = kv_list(&args, "threads")
-        .map(|l| l.iter().filter_map(|s| s.parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 4, 8]);
 
     let mut checks: Vec<String> = Vec::new();
     let mut determinism_ok = true;
@@ -223,51 +205,28 @@ fn main() {
         let (base_layout, baseline_s) = timed_route(baseline_config(), design);
         let nets = base_layout.nets.len();
 
-        let mut optimized = Vec::new();
-        let mut reference: Option<RoutedLayout> = None;
-        let mut t1_s = f64::NAN;
-        for &threads in &thread_counts {
-            eprintln!("{design}: optimized on {threads} thread(s) ...");
-            let (layout, route_s) = timed_route(optimized_config(threads), design);
-            match &reference {
-                None => {
-                    t1_s = route_s;
-                    reference = Some(layout.clone());
-                }
-                Some(want) if !same_layout(want, &layout) => {
-                    determinism_ok = false;
-                    checks.push(format!(
-                        "{design}: layout differs at {threads} thread(s) vs {} thread(s)",
-                        thread_counts[0]
-                    ));
-                }
-                _ => {}
-            }
-            if layout.conflicts > base_layout.conflicts {
-                checks.push(format!(
-                    "{design}: optimized router leaves {} conflicts vs baseline {}",
-                    layout.conflicts, base_layout.conflicts
-                ));
-            }
-            optimized.push(ThreadRow {
-                threads,
-                route_s,
-                nets_per_sec: layout.nets.len() as f64 / route_s.max(1e-12),
-                rounds: layout.iterations,
-                conflicts: layout.conflicts,
-                speedup_vs_t1: t1_s / route_s.max(1e-12),
-            });
+        eprintln!("{design}: optimized, routed twice ...");
+        let (layout, route_s) = timed_route(RouterConfig::default(), design);
+        let (repeat, _) = timed_route(RouterConfig::default(), design);
+        if !same_layout(&layout, &repeat) {
+            determinism_ok = false;
+            checks.push(format!("{design}: repeated route gives a different layout"));
+        }
+        if layout.conflicts > base_layout.conflicts {
+            checks.push(format!(
+                "{design}: optimized router leaves {} conflicts vs baseline {}",
+                layout.conflicts, base_layout.conflicts
+            ));
         }
 
-        // Engine parity at one thread: heap open list with the otherwise
-        // optimized configuration.
+        // Engine parity: heap open list with the otherwise optimized
+        // configuration.
         let heap_cfg = RouterConfig::builder()
             .open_list(OpenListKind::Heap)
-            .threads(1)
             .build()
             .expect("heap config is valid");
         let (heap_layout, _) = timed_route(heap_cfg, design);
-        let bucket_layout = reference.as_ref().expect("at least one thread count");
+        let bucket_layout = &layout;
         let (wb, wh) = (
             bucket_layout.total_wirelength() as f64,
             heap_layout.total_wirelength() as f64,
@@ -281,10 +240,10 @@ fn main() {
             ));
         }
 
-        eprintln!("{design}: {guided_samples} dataset-style guided route(s) on 1 thread ...");
+        eprintln!("{design}: {guided_samples} dataset-style guided route(s) ...");
         let (guided_route_s, guided_expansions) = guided_routes(design, guided_samples);
 
-        let speedup_vs_baseline = baseline_s / t1_s.max(1e-12);
+        let speedup_vs_baseline = baseline_s / route_s.max(1e-12);
         rows.push(DesignRow {
             design: design.to_string(),
             nets,
@@ -292,7 +251,12 @@ fn main() {
             baseline_nets_per_sec: nets as f64 / baseline_s.max(1e-12),
             baseline_rounds: base_layout.iterations,
             baseline_conflicts: base_layout.conflicts,
-            optimized,
+            optimized: OptimizedRow {
+                route_s,
+                nets_per_sec: layout.nets.len() as f64 / route_s.max(1e-12),
+                rounds: layout.iterations,
+                conflicts: layout.conflicts,
+            },
             speedup_vs_baseline,
             guided_samples,
             guided_route_s,
@@ -311,26 +275,22 @@ fn main() {
 
     for r in &rows {
         println!(
-            "{}: baseline {:.2}s ({:.1} nets/s, {} rounds) -> optimized@1t {:.2}s \
-             (speedup {:.2}x)",
+            "{}: baseline {:.2}s ({:.1} nets/s, {} rounds) -> optimized {:.2}s \
+             ({:.1} nets/s, {} rounds, {} conflicts; speedup {:.2}x)",
             r.design,
             r.baseline_s,
             r.baseline_nets_per_sec,
             r.baseline_rounds,
-            r.optimized.first().map_or(f64::NAN, |o| o.route_s),
+            r.optimized.route_s,
+            r.optimized.nets_per_sec,
+            r.optimized.rounds,
+            r.optimized.conflicts,
             r.speedup_vs_baseline
         );
         println!(
-            "  guided@1t: {:.3}s per route  {} expansions over {} sample(s)  {:.0} ns/expansion",
+            "  guided: {:.3}s per route  {} expansions over {} sample(s)  {:.0} ns/expansion",
             r.guided_route_s, r.guided_expansions, r.guided_samples, r.guided_ns_per_expansion
         );
-        for o in &r.optimized {
-            println!(
-                "  {} thread(s): {:.2}s  {:.1} nets/s  {} rounds  {} conflicts  \
-                 {:.2}x vs 1t",
-                o.threads, o.route_s, o.nets_per_sec, o.rounds, o.conflicts, o.speedup_vs_t1
-            );
-        }
     }
     println!(
         "geomean speedup vs baseline {geomean_speedup_vs_baseline:.2}x  determinism {}  \
@@ -341,7 +301,6 @@ fn main() {
 
     let report = RouteBenchReport {
         mode,
-        threads: thread_counts,
         rows,
         geomean_speedup_vs_baseline,
         determinism_ok,

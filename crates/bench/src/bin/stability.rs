@@ -18,9 +18,9 @@
 //! equality too.
 //!
 //! Run: `cargo run -p af-bench --bin stability --release -- [quick|full]
-//!       [seeds=K] [threads=N] [route_threads=N] [cache=MB]`
+//!       [seeds=K] [threads=N] [cache=MB]`
 
-use af_bench::{cache_arg, flow_config, kv_num, obs_arg, route_threads_arg, threads_arg, Scale};
+use af_bench::{cache_arg, flow_config, kv_num, obs_arg, threads_arg, Scale};
 use af_netlist::benchmarks;
 use af_place::{place, PlacementVariant};
 use af_route::RouterConfig;
@@ -129,10 +129,7 @@ fn main() {
     let circuit = benchmarks::ota1();
     let tech = Technology::nm40();
     let placement = place(&circuit, PlacementVariant::A);
-    let router_cfg = RouterConfig::builder()
-        .threads(route_threads_arg(&args))
-        .build()
-        .expect("valid router config");
+    let router_cfg = RouterConfig::default();
     let (_, _, base) = magical_route(
         &circuit,
         &placement,

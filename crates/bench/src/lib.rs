@@ -154,14 +154,6 @@ pub fn threads_arg(args: &[String]) -> usize {
     kv_num(args, "threads", 0) as usize
 }
 
-/// Parses a `route_threads=N` driver argument: the detailed router's worker
-/// count for its parallel negotiation rounds, independent of the flow-level
-/// `threads=`. `0` (the default) resolves through `AFRT_THREADS`, then
-/// hardware parallelism; every value yields a bit-identical layout.
-pub fn route_threads_arg(args: &[String]) -> usize {
-    kv_num(args, "route_threads", 0) as usize
-}
-
 /// Parses a `cache=N` driver argument: the memoization-cache capacity in
 /// MiB handed to the flow/serve configuration under test. `cache=0`
 /// disables caching for the whole process (flipping

@@ -11,11 +11,15 @@
 //! exact for *any* pop order, which is what makes the two engines (and the
 //! bidirectional variant below) agree on path cost.
 //!
-//! Guided nets use the guidance-aware heuristic: every multiplier is divided
-//! by the net's smallest one ([`crate::guidance::RoutingGuidance::scale_floor`]),
-//! so normalized multipliers are ≥ 1.0 and unit scale stays admissible —
-//! much sharper than the global `min_guidance` floor, so hopeless frontier
-//! nodes are pruned much earlier. Bidirectional Dijkstra, meeting in the
+//! Guided nets use the guidance-aware heuristic ([`Heuristic`]): every
+//! multiplier is divided by the net's smallest one
+//! ([`crate::guidance::RoutingGuidance::scale_floor`]), so normalized
+//! multipliers are ≥ 1.0 and unit scale stays admissible — much sharper
+//! than the global `min_guidance` floor, so hopeless frontier nodes are
+//! pruned much earlier. The last step into a target pin the net owns costs
+//! only `reuse_discount` times a step, and the heuristic charges it so; an
+//! exact-Dijkstra test on random small grids checks that `h` never exceeds
+//! the true distance. Bidirectional Dijkstra, meeting in the
 //! middle, only runs for plain two-pin connections under the legacy weak
 //! heuristic (`guidance_aware_h = false`); the default configuration never
 //! takes it.
@@ -25,12 +29,11 @@
 //! The inner loop touches a few dense arrays per neighbor step and never
 //! hashes: the net's guidance is resolved once per net route
 //! ([`NetGuidance`]), the node's occupancy and history come from one packed
-//! 8-byte grid cell (through the task's dense overlay in a parallel round),
-//! the neighbor's grid point is passed down instead of re-derived from its
-//! flat index, and each node's `dist`/`came`/`stamp` live in one 16-byte
-//! [`Label`]. None of this changes a float expression, the pop order or a
-//! tie-break, so expansion counts and layouts are the same as with plain
-//! per-step lookups; `tests/golden_routing.rs` pins both.
+//! 8-byte grid cell, the neighbor's grid point is passed down instead of
+//! re-derived from its flat index, and each node's `dist`/`came`/`stamp`
+//! live in one 16-byte [`Label`]. None of this changes a float expression,
+//! the pop order or a tie-break, so expansion counts and layouts are the
+//! same as with plain per-step lookups; `tests/golden_routing.rs` pins both.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -38,10 +41,9 @@ use std::collections::BinaryHeap;
 use af_geom::{Axis, Dir3, GridPoint};
 use af_netlist::NetId;
 
-use crate::grid::Cell;
+use crate::grid::{Cell, RoutingGrid};
 use crate::guidance::NetGuidance;
 use crate::router::{OpenListKind, RouterConfig};
-use crate::view::GridView;
 
 /// Bucket width in cost units. Steps cost at least `min_guidance` (0.25 by
 /// default) so a 0.25-wide bucket rarely holds more than a handful of
@@ -209,8 +211,8 @@ impl Default for Label {
 ///
 /// Holds forward *and* backward label arrays plus both open-list engines, so
 /// one buffer serves unidirectional and bidirectional searches without
-/// reallocating. In a parallel round each worker owns one of these
-/// (thread-local), never sharing search state across tasks.
+/// reallocating. Each thread owns one (thread-local), so no search state is
+/// shared across threads.
 #[derive(Default)]
 pub(crate) struct SearchBuffers {
     fwd: Vec<Label>,
@@ -261,8 +263,8 @@ pub(crate) struct FoundPath {
 }
 
 /// Per-step parameters captured once per net route.
-pub(crate) struct StepCost<'a, G: GridView> {
-    pub grid: &'a G,
+pub(crate) struct StepCost<'a> {
+    pub grid: &'a RoutingGrid,
     /// The net's guidance, resolved once so a step never looks the net up.
     pub guidance: NetGuidance<'a>,
     /// Reciprocal of [`RoutingGuidance::scale_floor`] for `net`: multiplies
@@ -279,7 +281,7 @@ pub(crate) struct StepCost<'a, G: GridView> {
     pub enforce_mirror: bool,
 }
 
-impl<G: GridView> StepCost<'_, G> {
+impl StepCost<'_> {
     /// Whether `owner` is this net or its symmetric partner.
     #[inline]
     fn is_ours(&self, owner: NetId) -> bool {
@@ -379,23 +381,75 @@ fn grid_preferred(layer: u8, axis: Axis) -> bool {
     }
 }
 
-/// Heuristic distance scale.
+/// Admissible A* heuristic: a lower bound on the cost from a node to the
+/// nearest target.
 ///
-/// Legacy mode uses the global guidance floor. Guidance-aware mode exploits
-/// the per-net normalization ([`RoutingGuidance::scale_floor`]): after
-/// dividing by the net's minimum, every multiplier is ≥ 1.0, so unit scale
-/// is a valid (and much sharper) lower bound that lets the search prune
-/// frontier nodes whose optimistic completion already exceeds the best
-/// known target cost.
+/// Every planar step costs at least one unit and every via at least
+/// `via_cost` units: guidance is normalized per net so its multipliers are
+/// at least 1.0 ([`crate::guidance::RoutingGuidance::scale_floor`]), and
+/// congestion, history, bend and wrong-direction terms only add cost. The
+/// heuristic charges each step `scale` ≤ 1 units, the via `scale ·
+/// min(via_cost, 1)`. The one step that can cost less is the last: it
+/// enters a target pin, which the net owns, so it pays `reuse_discount`
+/// times its cost, and `h` takes that rebate on the dearest axis the node
+/// still has to cross.
 ///
-/// [`RoutingGuidance::scale_floor`]: crate::guidance::RoutingGuidance::scale_floor
-fn heuristic_scale(cfg: &RouterConfig) -> f64 {
-    let base = if cfg.guidance_aware_h {
-        1.0
-    } else {
-        cfg.min_guidance
-    };
-    0.999 * base.min(1.0)
+/// `scale` is 0.999 — a margin that keeps `h` below the true cost when a
+/// path's step-by-step float sum rounds differently from the products
+/// here — times 1, or times the global `min_guidance` floor under the
+/// legacy `guidance_aware_h = false`.
+struct Heuristic {
+    /// Per-axis step floors, indexed by [`Axis::index`].
+    floor: [f64; 3],
+    /// Share of the last step's floor that the reuse discount takes off.
+    rebate: f64,
+    targets: Vec<GridPoint>,
+}
+
+impl Heuristic {
+    fn new(step: &StepCost<'_>, targets: &[usize]) -> Self {
+        let cfg = step.cfg;
+        let base = if cfg.guidance_aware_h {
+            1.0
+        } else {
+            cfg.min_guidance
+        };
+        let scale = 0.999 * base.min(1.0);
+        let dim = step.grid.dim();
+        Self {
+            floor: [scale, scale, scale * cfg.via_cost.min(1.0)],
+            rebate: 1.0 - cfg.reuse_discount,
+            targets: targets.iter().map(|&t| dim.from_flat(t)).collect(),
+        }
+    }
+
+    /// Whether `h` is too weak to steer a one-sided search.
+    fn is_weak(&self) -> bool {
+        self.floor[Axis::X.index()] < 0.5
+    }
+
+    /// The lower bound at grid point `g`.
+    #[inline]
+    fn at(&self, g: GridPoint) -> f64 {
+        let mut best = f64::INFINITY;
+        for t in &self.targets {
+            let deltas = [
+                g.x.abs_diff(t.x),
+                g.y.abs_diff(t.y),
+                u32::from(g.l.abs_diff(t.l)),
+            ];
+            let mut sum = 0.0;
+            let mut last = 0.0_f64;
+            for (d, f) in deltas.into_iter().zip(self.floor) {
+                if d > 0 {
+                    sum += f64::from(d) * f;
+                    last = last.max(f);
+                }
+            }
+            best = best.min(sum - self.rebate * last);
+        }
+        best
+    }
 }
 
 /// Runs a maze search from `sources` (cost 0) to any node in `targets`.
@@ -403,26 +457,26 @@ fn heuristic_scale(cfg: &RouterConfig) -> f64 {
 /// Returns the path (source first, target last) or `None` when unreachable.
 /// Dispatches to bidirectional Dijkstra for plain two-pin connections whose
 /// heuristic is too weak to steer a one-sided search.
-pub(crate) fn search<G: GridView>(
-    step: &StepCost<'_, G>,
+pub(crate) fn search(
+    step: &StepCost<'_>,
     sources: &[usize],
     targets: &[usize],
     buffers: &mut SearchBuffers,
 ) -> Option<FoundPath> {
-    let h_scale = heuristic_scale(step.cfg);
-    if step.cfg.bidirectional && sources.len() == 1 && targets.len() == 1 && h_scale < 0.5 {
+    let h = Heuristic::new(step, targets);
+    if step.cfg.bidirectional && sources.len() == 1 && targets.len() == 1 && h.is_weak() {
         return search_bidir(step, sources[0], targets[0], buffers);
     }
-    search_uni(step, sources, targets, buffers, h_scale)
+    search_uni(step, sources, targets, buffers, &h)
 }
 
 /// One-sided A* with deferred termination and μ-pruning.
-fn search_uni<G: GridView>(
-    step: &StepCost<'_, G>,
+fn search_uni(
+    step: &StepCost<'_>,
     sources: &[usize],
     targets: &[usize],
     buffers: &mut SearchBuffers,
-    h_scale: f64,
+    h: &Heuristic,
 ) -> Option<FoundPath> {
     let dim = *step.grid.dim();
     buffers.ensure(dim.len());
@@ -432,14 +486,6 @@ fn search_uni<G: GridView>(
     for &t in targets {
         buffers.target_stamp[t] = gen;
     }
-    let target_points: Vec<GridPoint> = targets.iter().map(|&t| dim.from_flat(t)).collect();
-    let h = |g: GridPoint| -> f64 {
-        let mut best = u64::MAX;
-        for t in &target_points {
-            best = best.min(g.manhattan(*t));
-        }
-        best as f64 * h_scale
-    };
 
     let labels = &mut buffers.fwd;
     let target_stamp = &buffers.target_stamp;
@@ -458,7 +504,7 @@ fn search_uni<G: GridView>(
             came: u32::MAX,
             stamp: gen,
         };
-        open.push(h(sg), 0.0, s);
+        open.push(h.at(sg), 0.0, s);
     }
 
     // Best target reached so far: μ. The search keeps going until the open
@@ -519,7 +565,7 @@ fn search_uni<G: GridView>(
             let ncost = g + step.enter_cost(nidx, ng, dir.axis(), layer) + bend;
             let next = &mut labels[nidx];
             if next.stamp != gen || ncost + 1e-12 < next.dist {
-                let nf = ncost + h(ng);
+                let nf = ncost + h.at(ng);
                 if let Some((mu, _)) = best {
                     if nf >= mu - 1e-12 {
                         continue; // prune: optimistic completion already loses
@@ -555,8 +601,8 @@ fn search_uni<G: GridView>(
 /// the bend checked at `v` between the edge to `u` and `v`'s successor
 /// toward the target. The seam bend at the meeting node is not charged —
 /// consistent with the bend cost being path-approximate, not exact.
-fn search_bidir<G: GridView>(
-    step: &StepCost<'_, G>,
+fn search_bidir(
+    step: &StepCost<'_>,
     source: usize,
     target: usize,
     buffers: &mut SearchBuffers,
@@ -928,6 +974,178 @@ mod tests {
                 other => prop_assert!(false, "reachability disagrees: {other:?}"),
             }
         }
+    }
+
+    /// SplitMix64, enough for reproducible random grids.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+        }
+    }
+
+    /// Exact cost from every node to the nearest target: Dijkstra backwards
+    /// over the search's own `passable`/`enter_cost`, with targets terminal
+    /// like in the search. Bends are left out, so with a bend penalty this
+    /// is still a lower bound on any path's cost.
+    fn oracle_distances(step: &StepCost<'_>, targets: &[usize]) -> Vec<f64> {
+        let dim = *step.grid.dim();
+        let mut dist = vec![f64::INFINITY; dim.len()];
+        let mut done = vec![false; dim.len()];
+        for &t in targets {
+            dist[t] = 0.0;
+        }
+        // The grids are tiny: a linear scan for the closest open node.
+        while let Some(w) = (0..dim.len())
+            .filter(|&i| !done[i] && dist[i].is_finite())
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+        {
+            done[w] = true;
+            let wg = dim.from_flat(w);
+            for dir in Dir3::ALL {
+                let Some((vg, v)) = neighbor(&dim, wg, dir) else {
+                    continue;
+                };
+                if done[v] || !step.passable(v, vg) {
+                    continue;
+                }
+                // The step v → w enters w along `dir`'s axis.
+                let layer = if dir.axis() == Axis::Z {
+                    vg.l.max(wg.l)
+                } else {
+                    wg.l
+                };
+                let d = dist[w] + step.enter_cost(w, wg, dir.axis(), layer);
+                if d < dist[v] {
+                    dist[v] = d;
+                }
+            }
+        }
+        dist
+    }
+
+    /// The heuristic never overestimates: on random small grids with
+    /// obstacles, other nets' claims, history, guidance and cost settings,
+    /// `h` stays at or below the exact distance to the nearest target at
+    /// every node, and the search from any node finds a path of exactly
+    /// that cost.
+    #[test]
+    fn heuristic_is_admissible_against_exact_dijkstra() {
+        use crate::guidance::{GuidanceMap2D, NonUniformGuidance, RoutingGuidance};
+        use af_geom::{CostTriple, GridDim, Point, Point3};
+
+        let net = NetId::new(0);
+        let mut rng = Rng(0x5eed);
+        let mut searched = 0;
+        for case in 0..300 {
+            let (nx, ny) = (3 + rng.below(6) as u32, 3 + rng.below(6) as u32);
+            let layers = 1 + rng.below(3) as u8;
+            let pitch = 100;
+            let dim = GridDim::new(Point::new(0, 0), nx, ny, layers, pitch);
+            let mut grid = RoutingGrid::open(dim);
+            for i in 0..dim.len() {
+                match rng.below(10) {
+                    0 | 1 => grid.block(i),
+                    2 => {
+                        grid.claim(i, NetId::new(1 + rng.below(3) as u32));
+                    }
+                    _ => {}
+                }
+                if rng.below(4) == 0 {
+                    grid.bump_history(i, rng.range(0.0, 50.0) as f32);
+                }
+            }
+            let free: Vec<usize> = (0..dim.len()).filter(|&i| grid.is_free(i)).collect();
+            if free.len() < 4 {
+                continue;
+            }
+            let mut targets: Vec<usize> = Vec::new();
+            for _ in 0..1 + rng.below(3) {
+                let t = free[rng.below(free.len() as u64) as usize];
+                if !targets.contains(&t) {
+                    grid.claim_pin(t, net);
+                    targets.push(t);
+                }
+            }
+            let cfg = RouterConfig {
+                via_cost: rng.range(0.2, 5.0),
+                wrong_dir_mult: rng.range(1.0, 3.0),
+                present_cost: rng.range(0.0, 50.0),
+                reuse_discount: rng.range(0.0, 1.0),
+                min_guidance: rng.range(0.1, 1.5),
+                bend_penalty: 0.0,
+                guidance_aware_h: rng.below(4) != 0,
+                ..RouterConfig::default()
+            };
+            let extent = (i64::from(nx) * pitch, i64::from(ny) * pitch);
+            let guidance = match case % 3 {
+                0 => RoutingGuidance::None,
+                1 => {
+                    let mut g = NonUniformGuidance::new();
+                    for _ in 0..1 + rng.below(4) {
+                        let at = Point3::new(
+                            rng.below(extent.0 as u64) as i64,
+                            rng.below(extent.1 as u64) as i64,
+                            rng.below(u64::from(layers)) as u8,
+                        );
+                        let c = [(); 3].map(|()| rng.range(0.3, 3.0));
+                        g.set(net, at, CostTriple(c));
+                    }
+                    RoutingGuidance::NonUniform(g)
+                }
+                _ => {
+                    let mut m = GuidanceMap2D::new(3, 2, (0, 0), extent);
+                    m.set_net(net, (0..6).map(|_| rng.range(0.3, 3.0)).collect());
+                    RoutingGuidance::Map(m)
+                }
+            };
+            let step = StepCost {
+                grid: &grid,
+                guidance: guidance.resolve(net),
+                guidance_norm: guidance.scale_floor(net).recip(),
+                cfg: &cfg,
+                net,
+                mirror_net: None,
+                enforce_mirror: false,
+            };
+            let h = Heuristic::new(&step, &targets);
+            let dist = oracle_distances(&step, &targets);
+            let mut buffers = SearchBuffers::default();
+            for (i, &d) in dist.iter().enumerate() {
+                if !d.is_finite() {
+                    continue;
+                }
+                let g = dim.from_flat(i);
+                let bound = h.at(g);
+                assert!(
+                    bound <= d + 1e-9,
+                    "case {case}: h {bound} > exact {d} at {g} ({cfg:?})"
+                );
+                if targets.contains(&i) {
+                    continue;
+                }
+                let found = search(&step, &[i], &targets, &mut buffers)
+                    .expect("a node with a finite distance reaches a target");
+                assert!(
+                    (found.cost - d).abs() <= 1e-9 * d.max(1.0),
+                    "case {case}: search cost {} != exact {d} from {g}",
+                    found.cost
+                );
+                searched += 1;
+            }
+        }
+        assert!(searched > 1000, "only {searched} searches checked");
     }
 
     #[test]

@@ -199,6 +199,15 @@ fn is_connected(segments: &[Segment], pins: &[Point3], tol: i64) -> bool {
             }
         }
     }
+    // a segment endpoint may land mid-span on another segment of the net
+    // (a T-junction, how tree growth joins a net)
+    for (end, p) in points[..first_pin].iter().enumerate() {
+        for (sj, s) in segments.iter().enumerate() {
+            if end / 2 != sj && point_on_segment(p, s, tol) {
+                union(&mut parent, end, 2 * sj);
+            }
+        }
+    }
     // pins may touch a segment midspan: connect pin to segment if the pin
     // projects onto the segment's track within tol
     for (pi, p) in pins.iter().enumerate() {
@@ -247,11 +256,7 @@ mod tests {
             .route(&c, &p, &t, &RoutingGuidance::None)
             .unwrap();
         let violations = check_layout(&c, &p, &t, &layout);
-        let hard: Vec<_> = violations
-            .iter()
-            .filter(|v| matches!(v.kind, ViolationKind::Short | ViolationKind::OutOfBounds))
-            .collect();
-        assert!(hard.is_empty(), "hard violations: {hard:?}");
+        assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
     #[test]
@@ -274,6 +279,27 @@ mod tests {
         assert!(is_connected(&segs, &pins, 10));
         let disconnected_pins = vec![Point3::new(0, 0, 0), Point3::new(500, 500, 0)];
         assert!(!is_connected(&segs, &disconnected_pins, 10));
+    }
+
+    #[test]
+    fn t_junction_joins_mid_span() {
+        // A branch whose endpoint lands mid-span on the trunk, far from
+        // both trunk endpoints.
+        let trunk = Segment::new(Point3::new(0, 0, 0), Point3::new(1000, 0, 0)).unwrap();
+        let branch = Segment::new(Point3::new(500, 0, 0), Point3::new(500, 800, 0)).unwrap();
+        let pins = vec![
+            Point3::new(0, 0, 0),
+            Point3::new(1000, 0, 0),
+            Point3::new(500, 800, 0),
+        ];
+        assert!(is_connected(&[trunk, branch], &pins, 10));
+        // The same branch one layer up touches the trunk only in plan view.
+        let above = Segment::new(Point3::new(500, 0, 1), Point3::new(500, 800, 1)).unwrap();
+        let pins_above = vec![Point3::new(0, 0, 0), Point3::new(500, 800, 1)];
+        assert!(!is_connected(&[trunk, above], &pins_above, 10));
+        // A branch that stops short of the trunk stays open.
+        let short = Segment::new(Point3::new(500, 50, 0), Point3::new(500, 800, 0)).unwrap();
+        assert!(!is_connected(&[trunk, short], &pins, 10));
     }
 
     #[test]

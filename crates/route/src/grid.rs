@@ -26,14 +26,6 @@ impl Cell {
         Self { occ: FREE, history }
     }
 
-    /// A cell owned (not as a pin) by `net`, carrying `history`.
-    pub(crate) fn owned(net: NetId, history: f32) -> Self {
-        Self {
-            occ: net.index() as u32,
-            history,
-        }
-    }
-
     /// Whether the node is a hard obstacle.
     #[inline]
     pub(crate) fn is_blocked(self) -> bool {
@@ -274,6 +266,24 @@ impl RoutingGrid {
     /// Number of free nodes (for tests / diagnostics).
     pub fn free_count(&self) -> usize {
         self.cells.iter().filter(|c| c.occ == FREE).count()
+    }
+}
+
+#[cfg(test)]
+impl RoutingGrid {
+    /// A grid of `dim` with no obstacles, its symmetry axis on column 0.
+    pub(crate) fn open(dim: GridDim) -> Self {
+        Self {
+            dim,
+            cells: vec![Cell::free(0.0); dim.len()],
+            axis_col: 0,
+            layer_pitch: dim.pitch(),
+        }
+    }
+
+    /// Makes a node a hard obstacle.
+    pub(crate) fn block(&mut self, idx: usize) {
+        self.cells[idx].occ = BLOCKED;
     }
 }
 

@@ -47,7 +47,6 @@ mod guidance;
 mod post;
 mod router;
 mod svg;
-mod view;
 
 pub use access::{AccessPoint, PinAccessMap};
 pub use congestion::{estimate_congestion, measure_congestion, CongestionMap};

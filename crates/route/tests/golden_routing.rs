@@ -1,12 +1,13 @@
-//! Golden routing fingerprints: the A* kernel's exactness contract.
+//! Golden routing fingerprints: the router's exactness contract.
 //!
 //! Kernel optimizations must keep the same pop order, float expressions and
 //! tie-breaks, so every layout and every expansion count stays bit-identical.
 //! This test pins both for OTA1-A and OTA3-A, routed unguided and under two
 //! seeded dataset-style `NonUniform` guidance samples (one log-uniform
-//! `[0.4, 2.2]` triple per guided access point), at 1 and 4 router threads.
+//! `[0.4, 2.2]` triple per guided access point). Every pinned layout must
+//! also be conflict-free and pass `check_layout` with no violation of any
+//! kind.
 //!
-//! The pinned values were recorded before the dense-overlay kernel landed.
 //! A mismatch means the router's search changed: if that is intended,
 //! re-record the table from the failure messages and say why in the change.
 
@@ -16,30 +17,30 @@ use af_geom::CostTriple;
 use af_netlist::{benchmarks, Circuit};
 use af_place::{place, Placement, PlacementVariant};
 use af_route::{
-    NonUniformGuidance, OpenListKind, PinAccessMap, RoutedLayout, Router, RouterConfig,
-    RoutingGrid, RoutingGuidance,
+    check_layout, NonUniformGuidance, OpenListKind, PinAccessMap, RoutedLayout, Router,
+    RouterConfig, RoutingGrid, RoutingGuidance,
 };
 use af_tech::Technology;
 
 /// `(design, guidance seed or None for unguided, layout fingerprint,
 /// route.astar_expansions)`.
 const GOLDEN: &[(&str, Option<u64>, u64, u64)] = &[
-    ("OTA1", None, 0xa4c5_d0de_a9cb_5557, 231_411),
-    ("OTA1", Some(1), 0x31cb_c30b_4693_4e27, 555_000),
-    ("OTA1", Some(2), 0xefd7_4722_1081_e32a, 639_260),
-    ("OTA3", None, 0xb9de_4c79_0dd6_7224, 1_411_317),
-    ("OTA3", Some(1), 0x7b1a_8fae_438d_4b2b, 2_691_860),
-    ("OTA3", Some(2), 0x0cba_187d_2adb_f18c, 2_197_976),
+    ("OTA1", None, 0x9578_27d9_8372_ae61, 71_572),
+    ("OTA1", Some(1), 0x7f26_567e_ab27_df50, 191_500),
+    ("OTA1", Some(2), 0xedd2_3a7b_9e1d_3675, 319_723),
+    ("OTA3", None, 0xc625_cbc8_527a_9c7a, 468_052),
+    ("OTA3", Some(1), 0x6162_a84b_0cfe_264a, 951_764),
+    ("OTA3", Some(2), 0xfde6_e1e1_2b82_72d3, 1_053_487),
 ];
 
-/// The same contract for the non-default engines on OTA1-A at one thread:
+/// The same contract for the non-default engines on OTA1-A:
 /// the binary-heap open list, and the bidirectional two-pin search (which
 /// only engages with the weak `guidance_aware_h = false` heuristic).
 const GOLDEN_ENGINES: &[(Engine, Option<u64>, u64, u64)] = &[
-    (Engine::Heap, None, 0xaa23_fc54_88ae_4e46, 260_191),
-    (Engine::Heap, Some(1), 0x6ba5_f4ac_e3f5_8463, 685_809),
-    (Engine::Bidir, None, 0x2189_0286_deee_f996, 3_179_470),
-    (Engine::Bidir, Some(1), 0x737f_9ec4_0ef4_ca4b, 3_633_135),
+    (Engine::Heap, None, 0xb5c5_110b_73dc_87e4, 71_539),
+    (Engine::Heap, Some(1), 0x7f26_567e_ab27_df50, 191_396),
+    (Engine::Bidir, None, 0x5fa4_f2d5_810b_e52a, 1_448_232),
+    (Engine::Bidir, Some(1), 0x77a7_ad95_fd8e_b8e8, 1_528_226),
 ];
 
 #[derive(Debug, Clone, Copy)]
@@ -50,8 +51,8 @@ enum Engine {
 }
 
 impl Engine {
-    fn config(self, threads: usize) -> RouterConfig {
-        let b = RouterConfig::builder().threads(threads);
+    fn config(self) -> RouterConfig {
+        let b = RouterConfig::builder();
         match self {
             Engine::Default => b,
             Engine::Heap => b.open_list(OpenListKind::Heap),
@@ -113,13 +114,13 @@ fn fingerprint(layout: &RoutedLayout) -> u64 {
 }
 
 /// Routes once with an af-obs memory sink installed and returns the layout
-/// fingerprint plus the `route.astar_expansions` total.
+/// plus the `route.astar_expansions` total.
 fn route_traced(
     circuit: &Circuit,
     placement: &Placement,
     guidance: &RoutingGuidance,
     cfg: RouterConfig,
-) -> (u64, u64) {
+) -> (RoutedLayout, u64) {
     let _lock = OBS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -140,17 +141,17 @@ fn route_traced(
             _ => None,
         })
         .expect("router records route.astar_expansions");
-    (fingerprint(&layout), expansions)
+    (layout, expansions)
 }
 
-/// Routes `design` under `engine` at each thread count and reports every
-/// mismatch against the pinned `(fingerprint, expansions)`.
+/// Routes `design` under `engine` and reports a mismatch against the
+/// pinned `(fingerprint, expansions)`, and every violation the layout
+/// checker finds.
 fn check(
     design: &str,
     engine: Engine,
     seed: Option<u64>,
     pinned: (u64, u64),
-    threads: &[usize],
     failures: &mut Vec<String>,
 ) {
     let circuit = benchmarks::by_name(design).expect("known design");
@@ -159,15 +160,25 @@ fn check(
         None => RoutingGuidance::None,
         Some(s) => dataset_guidance(&circuit, &placement, s),
     };
-    for &t in threads {
-        let (fp, exp) = route_traced(&circuit, &placement, &guidance, engine.config(t));
-        if (fp, exp) != pinned {
-            failures.push(format!(
-                "{design} {engine:?} seed {seed:?} at {t} thread(s): got ({fp:#018x}, {exp}), \
-                 pinned ({:#018x}, {})",
-                pinned.0, pinned.1
-            ));
-        }
+    let (layout, exp) = route_traced(&circuit, &placement, &guidance, engine.config());
+    let fp = fingerprint(&layout);
+    if (fp, exp) != pinned {
+        failures.push(format!(
+            "{design} {engine:?} seed {seed:?}: got ({fp:#018x}, {exp}), pinned ({:#018x}, {})",
+            pinned.0, pinned.1
+        ));
+    }
+    if layout.conflicts != 0 {
+        failures.push(format!(
+            "{design} {engine:?} seed {seed:?}: {} conflicts",
+            layout.conflicts
+        ));
+    }
+    for v in check_layout(&circuit, &placement, &Technology::nm40(), &layout) {
+        failures.push(format!(
+            "{design} {engine:?} seed {seed:?}: {} violation: {}",
+            v.kind, v.detail
+        ));
     }
 }
 
@@ -175,14 +186,7 @@ fn check(
 fn layouts_and_expansions_match_golden() {
     let mut failures = Vec::new();
     for &(design, seed, fp, exp) in GOLDEN {
-        check(
-            design,
-            Engine::Default,
-            seed,
-            (fp, exp),
-            &[1, 4],
-            &mut failures,
-        );
+        check(design, Engine::Default, seed, (fp, exp), &mut failures);
     }
     assert!(
         failures.is_empty(),
@@ -195,7 +199,7 @@ fn layouts_and_expansions_match_golden() {
 fn heap_and_bidirectional_engines_match_golden() {
     let mut failures = Vec::new();
     for &(engine, seed, fp, exp) in GOLDEN_ENGINES {
-        check("OTA1", engine, seed, (fp, exp), &[1], &mut failures);
+        check("OTA1", engine, seed, (fp, exp), &mut failures);
     }
     assert!(
         failures.is_empty(),

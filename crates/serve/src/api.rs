@@ -84,7 +84,9 @@ pub struct GuideResponse {
     pub potential: f64,
 }
 
-/// `POST /v1/route` request body; every knob is optional.
+/// `POST /v1/route` request body; every knob is optional. Unknown keys are
+/// ignored, so a body that still sends the retired `route_threads` knob
+/// parses as if it were absent.
 #[derive(Debug, Clone, Deserialize)]
 pub struct RouteRequest {
     /// Relaxation restarts (default 6).
@@ -95,8 +97,6 @@ pub struct RouteRequest {
     pub n_derive: Option<u64>,
     /// RNG seed (default 99).
     pub seed: Option<u64>,
-    /// Router worker threads (default 1; `0` = auto via `AFRT_THREADS`).
-    pub route_threads: Option<u64>,
 }
 
 /// `POST /v1/route` response body (`202 Accepted`).
@@ -197,6 +197,14 @@ mod tests {
         let req: RouteRequest = parse_body(b"{\"restarts\": 9, \"seed\": 7}").unwrap();
         assert_eq!(req.restarts, Some(9));
         assert_eq!(req.seed, Some(7));
+    }
+
+    #[test]
+    fn retired_route_threads_key_is_ignored() {
+        let req: RouteRequest =
+            parse_body(b"{\"restarts\": 2, \"route_threads\": 8, \"seed\": 5}").unwrap();
+        assert_eq!(req.restarts, Some(2));
+        assert_eq!(req.seed, Some(5));
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub struct JobParams {
     pub n_derive: usize,
     /// Root RNG seed.
     pub seed: u64,
-    /// Router worker threads (`0` = auto).
-    pub route_threads: usize,
 }
 
 impl JobParams {
@@ -83,7 +81,6 @@ impl JobParams {
             lbfgs_iters: req.lbfgs_iters.unwrap_or(30).max(1) as usize,
             n_derive: (req.n_derive.unwrap_or(1).max(1) as usize).min(restarts),
             seed: req.seed.unwrap_or(99),
-            route_threads: req.route_threads.unwrap_or(1) as usize,
         }
     }
 }
@@ -394,7 +391,6 @@ fn route_once(bundle: &ModelBundle, params: JobParams) -> Result<RouteResult, St
             ..RelaxConfig::default()
         })
         .seed(params.seed)
-        .route_threads(params.route_threads)
         .build()
         .map_err(|e| e.to_string())?;
     let flow = AnalogFoldFlow::new(cfg);
@@ -531,26 +527,17 @@ mod tests {
             lbfgs_iters: None,
             n_derive: None,
             seed: None,
-            route_threads: None,
         });
         assert_eq!(
-            (
-                p.restarts,
-                p.lbfgs_iters,
-                p.n_derive,
-                p.seed,
-                p.route_threads
-            ),
-            (6, 30, 1, 99, 1)
+            (p.restarts, p.lbfgs_iters, p.n_derive, p.seed),
+            (6, 30, 1, 99)
         );
         let p = JobParams::from_request(&RouteRequest {
             restarts: Some(2),
             lbfgs_iters: Some(5),
             n_derive: Some(10),
             seed: Some(7),
-            route_threads: Some(0),
         });
         assert_eq!(p.n_derive, 2, "n_derive clamps to restarts");
-        assert_eq!(p.route_threads, 0, "explicit auto passes through");
     }
 }

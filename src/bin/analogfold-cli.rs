@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! analogfold-cli route    <OTA1..OTA4> <A..D> [--svg FILE] [--def FILE] [--report]
-//!                         [--route-threads N]
 //! analogfold-cli simulate <OTA1..OTA4> [A..D] [--schematic]
 //! analogfold-cli spice    <OTA1..OTA4> [A..D] [--schematic] [--out FILE]
 //! analogfold-cli train    <OTA1..OTA4> <A..D> [--samples N] [--epochs N] [--threads N] [--out FILE]
 //!                         [--registry DIR]
 //! analogfold-cli guide    <OTA1..OTA4> <A..D> --model FILE [--restarts N] [--threads N]
 //! analogfold-cli flow     <OTA1..OTA4> <A..D> [--samples N] [--epochs N] [--restarts N]
-//!                         [--threads N] [--route-threads N] [--cache-mb N] [--no-cache]
+//!                         [--threads N] [--cache-mb N] [--no-cache]
 //!                         [--obs-jsonl FILE] [--obs-report]
 //! analogfold-cli serve    <OTA1..OTA4> <A..D> [--model FILE] [--registry DIR] [--addr HOST:PORT]
 //!                         [--threads N] [--jobs DIR] [--cache-mb N] [--no-cache]
@@ -63,14 +62,13 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   analogfold-cli route    <OTA1..OTA4> <A..D> [--svg FILE] [--def FILE] [--report]
-                          [--route-threads N]
   analogfold-cli simulate <OTA1..OTA4> [A..D] [--schematic]
   analogfold-cli spice    <OTA1..OTA4> [A..D] [--schematic] [--out FILE]
   analogfold-cli train    <OTA1..OTA4> <A..D> [--samples N] [--epochs N] [--threads N] [--out FILE]
                           [--registry DIR]
   analogfold-cli guide    <OTA1..OTA4> <A..D> --model FILE [--restarts N] [--threads N]
   analogfold-cli flow     <OTA1..OTA4> <A..D> [--samples N] [--epochs N] [--restarts N]
-                          [--threads N] [--route-threads N] [--cache-mb N] [--no-cache]
+                          [--threads N] [--cache-mb N] [--no-cache]
                           [--obs-jsonl FILE] [--obs-report]
   analogfold-cli serve    <OTA1..OTA4> <A..D> [--model FILE] [--registry DIR] [--addr HOST:PORT]
                           [--threads N] [--jobs DIR] [--cache-mb N] [--no-cache]
@@ -131,7 +129,7 @@ fn parse_circuit(args: &[String]) -> Result<Circuit, String> {
 
 use analogfold_suite::cli::{
     cache_mb_flag, fault_flag, flag_f64, flag_num, flag_value, has_flag, obs_flags, obs_install,
-    route_threads_flag, threads_flag, variant_arg as parse_variant,
+    threads_flag, variant_arg as parse_variant,
 };
 
 fn print_perf(label: &str, p: &Performance) {
@@ -148,13 +146,8 @@ fn routed(
     placement: &Placement,
     tech: &Technology,
     guidance: &RoutingGuidance,
-    threads: usize,
 ) -> Result<analogfold_suite::route::RoutedLayout, String> {
-    let cfg = RouterConfig::builder()
-        .threads(threads)
-        .build()
-        .map_err(|e| e.to_string())?;
-    Router::new(cfg)
+    Router::new(RouterConfig::default())
         .map_err(|e| e.to_string())?
         .route(circuit, placement, tech, guidance)
         .map_err(|e| e.to_string())
@@ -165,13 +158,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     let variant = parse_variant(args, 1);
     let tech = Technology::nm40();
     let placement = place(&circuit, variant);
-    let layout = routed(
-        &circuit,
-        &placement,
-        &tech,
-        &RoutingGuidance::None,
-        route_threads_flag(args),
-    )?;
+    let layout = routed(&circuit, &placement, &tech, &RoutingGuidance::None)?;
     println!(
         "{}-{variant}: {} nets, {:.1} um wire, {} vias, {} conflicts, {:.2}s",
         circuit.name(),
@@ -212,13 +199,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         let variant = parse_variant(args, 1);
         let tech = Technology::nm40();
         let placement = place(&circuit, variant);
-        let layout = routed(
-            &circuit,
-            &placement,
-            &tech,
-            &RoutingGuidance::None,
-            route_threads_flag(args),
-        )?;
+        let layout = routed(&circuit, &placement, &tech, &RoutingGuidance::None)?;
         let px = extract(&circuit, &tech, &layout);
         let post = simulate(&circuit, Some(&px), &cfg).map_err(|e| e.to_string())?;
         print_perf(&format!("{}-{variant} post-layout", circuit.name()), &post);
@@ -236,13 +217,7 @@ fn cmd_spice(args: &[String]) -> Result<(), String> {
         let variant = parse_variant(args, 1);
         let tech = Technology::nm40();
         let placement = place(&circuit, variant);
-        let layout = routed(
-            &circuit,
-            &placement,
-            &tech,
-            &RoutingGuidance::None,
-            route_threads_flag(args),
-        )?;
+        let layout = routed(&circuit, &placement, &tech, &RoutingGuidance::None)?;
         let px = extract(&circuit, &tech, &layout);
         to_spice(&circuit, Some(&px))
     };
@@ -348,13 +323,7 @@ fn cmd_guide(args: &[String]) -> Result<(), String> {
     println!("best potential: {:.5}", best.potential);
 
     let field = RoutingGuidance::NonUniform(guidance_field(&graph, &best.guidance));
-    let layout = routed(
-        &circuit,
-        &placement,
-        &tech,
-        &field,
-        route_threads_flag(args),
-    )?;
+    let layout = routed(&circuit, &placement, &tech, &field)?;
     let px = extract(&circuit, &tech, &layout);
     let perf = simulate(&circuit, Some(&px), &SimConfig::default()).map_err(|e| e.to_string())?;
     print_perf(&format!("{}-{variant} guided", circuit.name()), &perf);
@@ -381,7 +350,6 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
         .restarts(restarts)
         .n_derive(flag_num(args, "--n-derive", 3).min(restarts))
         .threads(threads)
-        .route_threads(route_threads_flag(args))
         .cache_mb(cache_mb_flag(args, 64))
         .placement_s(placement_s)
         .build()

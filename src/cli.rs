@@ -51,15 +51,6 @@ pub fn threads_flag(args: &[String]) -> usize {
     flag_num(args, "--threads", 0)
 }
 
-/// Parses the `--route-threads N` flag controlling the detailed router's
-/// parallel negotiation rounds, independently of the flow-level `--threads`.
-/// Defaults to `0` ("auto"): the `afrt` runtime honors `AFRT_THREADS` and
-/// then the hardware parallelism. The router's determinism contract makes
-/// every value produce a bit-identical layout.
-pub fn route_threads_flag(args: &[String]) -> usize {
-    flag_num(args, "--route-threads", 0)
-}
-
 /// Observability options parsed from `--obs-jsonl FILE` / `--obs-report`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObsFlags {
@@ -213,17 +204,6 @@ mod tests {
             "malformed is auto"
         );
         assert_eq!(threads_flag(&argv(&["--threads", "0"])), 0);
-    }
-
-    #[test]
-    fn route_threads_flag_parsing() {
-        let args = argv(&["route", "OTA1", "A", "--route-threads", "4"]);
-        assert_eq!(route_threads_flag(&args), 4);
-        assert_eq!(route_threads_flag(&argv(&["route", "OTA1"])), 0, "auto");
-        // `--threads` and `--route-threads` are independent knobs.
-        let both = argv(&["flow", "OTA1", "--threads", "2", "--route-threads", "8"]);
-        assert_eq!(threads_flag(&both), 2);
-        assert_eq!(route_threads_flag(&both), 8);
     }
 
     #[test]

@@ -27,9 +27,9 @@ use analogfold_suite::analogfold::{
     ShardStore, ThreeDGnn,
 };
 use analogfold_suite::fault::{self, FaultMode, RetryPolicy};
-use analogfold_suite::netlist::{benchmarks, NetId};
+use analogfold_suite::netlist::benchmarks;
 use analogfold_suite::place::{place, PlacementVariant};
-use analogfold_suite::route::{Router, RouterConfig, RoutingGuidance};
+use analogfold_suite::route::RouterConfig;
 use analogfold_suite::serve::{ModelBundle, ServeConfig, Server};
 use analogfold_suite::sim::SimConfig;
 use analogfold_suite::tech::Technology;
@@ -512,63 +512,6 @@ fn fleet_worker_kill_heals_bit_identically() {
         assert_eq!(a.performance, b.performance);
     }
     let _ = std::fs::remove_dir_all(&checkpoint);
-}
-
-/// A panic injected into one parallel net-routing task must degrade that
-/// task to a supervised sequential re-route — same clean layout contract,
-/// no corruption, no hang — and the layout must still be identical at
-/// every worker count (the fallback merges at a deterministic point).
-#[test]
-fn routing_task_panic_degrades_to_sequential_without_corruption() {
-    let _guard = fault::scenario();
-    let circuit = benchmarks::ota1();
-    let tech = Technology::nm40();
-    let placement = place(&circuit, PlacementVariant::A);
-    let route_with_threads = |threads: usize| {
-        let cfg = RouterConfig::builder().threads(threads).build().unwrap();
-        Router::new(cfg)
-            .unwrap()
-            .route(&circuit, &placement, &tech, &RoutingGuidance::None)
-            .unwrap()
-    };
-
-    // Probability-armed under a fixed seed: whether a task panics is a pure
-    // function of (seed, task index), so the same task set faults at every
-    // worker count. A `max_fires` cap would instead crown whichever worker
-    // raced to the failpoint first, which is exactly the nondeterminism this
-    // test must not depend on.
-    fault::set_seed(11);
-    fault::arm("route.task", FaultMode::Panic, 0.4);
-    let faulted = route_with_threads(4);
-    let stats = fault::stats("route.task").unwrap();
-    assert!(stats.fires >= 1, "the failpoint must actually fire");
-    assert!(
-        faulted.is_clean(),
-        "degraded run must still converge: {} conflicts",
-        faulted.conflicts
-    );
-    for (i, net) in circuit.nets().iter().enumerate() {
-        if net.is_routable() {
-            assert!(
-                faulted.net(NetId::new(i as u32)).is_some(),
-                "net `{}` dropped by the fallback",
-                net.name
-            );
-        }
-    }
-
-    // Same injection at other worker counts: identical layout (the
-    // sequential fallback is part of the deterministic merge order).
-    for threads in [1usize, 8] {
-        fault::disarm_all();
-        fault::set_seed(11);
-        fault::arm("route.task", FaultMode::Panic, 0.4);
-        let other = route_with_threads(threads);
-        assert_eq!(
-            faulted.nets, other.nets,
-            "fault-degraded layout must be thread-count invariant"
-        );
-    }
 }
 
 /// Mirrors the trainer's job-shard mirror format: one done `/v1/route` job
